@@ -6,7 +6,7 @@ trials.  Every cell derives its own seeds from (master seed, p index,
 r index, trial), so results do not depend on evaluation order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,7 @@ class GridResult:
     trials: int
     seeds: list            # one derived base seed per (p, r, trial), row order
     failed: np.ndarray     # bool (|p|, |r|): any trial in the cell errored
+    errors: list = field(default_factory=list)  # (p index, r index, trial, "Type: message")
 
 
 def _cell_seeds(seed, p_index, r_index, trial):
@@ -79,7 +80,8 @@ def _cell_seeds(seed, p_index, r_index, trial):
 def run_grid(n, p_values, r_values, trials, cfg, seed, on_cell=None):
     """PSNR phase grid over sampling rates and generator ranks.
 
-    Solver errors mark the cell's ``failed`` flag and count the trial as
+    Numerical errors (ValueError, LinAlgError) in a trial mark the cell's
+    ``failed`` flag, are recorded in ``errors`` and count the trial as
     PSNR 0 instead of aborting the grid.  ``on_cell``, if given, is
     called as on_cell(p_index, r_index, trial, psnr_value, report) after
     every trial (report is None for failed trials).
@@ -100,7 +102,7 @@ def run_grid(n, p_values, r_values, trials, cfg, seed, on_cell=None):
     means = np.zeros((len(p_values), len(r_values)))
     stds = np.zeros_like(means)
     failed = np.zeros(means.shape, dtype=bool)
-    seeds = []
+    seeds, errors = [], []
     for pi, p in enumerate(p_values):
         for ri, r0 in enumerate(r_values):
             values = []
@@ -113,15 +115,16 @@ def run_grid(n, p_values, r_values, trials, cfg, seed, on_cell=None):
                     mask = bernoulli_mask(n, n, n, p, mask_seed)
                     x, repo = admm_complete(project_omega(y_true, mask), mask, cfg)
                     value = max(0.0, psnr(x, y_true))
-                except Exception:
+                except (ValueError, np.linalg.LinAlgError) as exc:
                     failed[pi, ri] = True
+                    errors.append((pi, ri, trial, f"{type(exc).__name__}: {exc}"))
                     value = 0.0
                 values.append(value)
                 if on_cell is not None:
                     on_cell(pi, ri, trial, value, repo)
             means[pi, ri] = np.mean(values)
             stds[pi, ri] = np.std(values)
-    return GridResult(p_values, r_values, means, stds, trials, seeds, failed)
+    return GridResult(p_values, r_values, means, stds, trials, seeds, failed, errors)
 
 
 def grid_to_csv(grid):

@@ -21,6 +21,10 @@ from .orth import pca_q
 from .tensor3 import fold3, unfold3
 
 RANK_TOL = 1e-8
+# relative margin below lam under which the prox screen declares a slice zero
+SCREEN_MARGIN = 1e-8
+# smallest lam the screen works at: squares of entries near it stay normal floats
+SCREEN_MIN_LAM = 1e-140
 
 
 def _slice_stack(g3, n1, n2):
@@ -77,20 +81,63 @@ def q_spectral_norm(t, q):
     return float(q_singular_values(t, q).max())
 
 
+def _live_slices(stack, lam):
+    """Mask of the slices in an (r, n1, n2) stack whose sigma_max may exceed lam.
+
+    Every other slice has sigma_max <= lam, so the prox shrinks it to exactly
+    zero.  sigma_max is bounded above by ||G||_F and, for the slices that
+    bound leaves open, by the square root of the largest absolute row sum of
+    the Gram matrix on the smaller side; ||G||_F > lam * sqrt(min(n1, n2))
+    already forces sigma_max > lam.  A slice counts as dead only when its
+    bound is at most lam * (1 - SCREEN_MARGIN), so rounding in the bound or
+    in LAPACK's sigma_max cannot flip a borderline slice.  Below
+    SCREEN_MIN_LAM the squares in both bounds could underflow, so every
+    slice is kept.
+    """
+    r, n1, n2 = stack.shape
+    if lam < SCREEN_MIN_LAM:
+        return np.ones(r, dtype=bool)
+    cut = lam * (1.0 - SCREEN_MARGIN)
+    fro = np.linalg.norm(stack, axis=(1, 2))
+    live = fro > cut
+    unsure = live & (fro <= lam * np.sqrt(min(n1, n2)))
+    if unsure.any():
+        g = stack[unsure]
+        gram = g @ g.transpose(0, 2, 1) if n1 <= n2 else g.transpose(0, 2, 1) @ g
+        live[unsure] = np.sqrt(np.abs(gram).sum(axis=2).max(axis=1)) > cut
+    return live
+
+
 def _prox_unfolded(t3, q, lam, n1, n2):
     """Prox of lam * q_nuclear_norm on the unfolded tensor t3.
 
     Shrinks each transformed slice's singular values by lam and passes the
     orthogonal complement t x_3 (I - Q Q^T) through untouched.  Returns the
     unfolded result and the post-shrinkage nuclear norm (the q-nuclear norm
-    of the result under this q).
+    of the result under this q).  Only the slices ``_live_slices`` keeps get
+    an SVD; the rest are exact zeros, as the shrinkage would make them.
     """
     g3 = t3 @ q
-    u, s, vh = np.linalg.svd(_slice_stack(g3, n1, n2), full_matrices=False)
-    s = np.maximum(s - lam, 0.0)
-    g3_shrunk = _stack_to_unfolding(np.matmul(u * s[:, None, :], vh), n1, n2)
+    stack = _slice_stack(g3, n1, n2)
+    r = stack.shape[0]
+    live = _live_slices(stack, lam)
+    # C order, the layout np.matmul gives: the product with q.T below then
+    # takes the same BLAS path whether or not any slice was screened out
+    shrunk = np.zeros((r, n1, n2))
+    s_all = np.zeros((r, min(n1, n2)))
+    if live.any():
+        u, s, vh = np.linalg.svd(stack[live], full_matrices=False)
+        s = np.maximum(s - lam, 0.0)
+        u *= s[:, None, :]
+        shrunk[live] = np.matmul(u, vh)
+        s_all[live] = s
+        del u, vh
+    g3_shrunk = _stack_to_unfolding(shrunk, n1, n2)
+    del shrunk
     x3 = g3_shrunk @ q.T + (t3 - g3 @ q.T)
-    return x3, float(s.sum())
+    # summed over every slice, so the order of the additions does not depend
+    # on which slices were live
+    return x3, float(s_all.sum())
 
 
 def prox_q_nuclear(t, q, lam):

@@ -149,11 +149,23 @@ def project_omega_complement(t, mask):
 # ---------------------------------------------------------------------------
 # text formats
 
+def _umask():
+    # the process umask can only be read by setting it, so set it back at once
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` via a temp file + rename in one step."""
+    """Write ``text`` to ``path`` via a temp file + rename in one step.
+
+    The file gets the mode a plain ``open(path, "w")`` would give it,
+    0666 less the umask, not the 0600 of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -31,3 +31,19 @@ def matrix_complete_admm(y, observed, rho=1.1, mu0=1e-4, mu_max=1e10, eps=1e-8,
         if done:
             break
     return x
+
+
+def prox_unfolded_unscreened(t3, q, lam, n1, n2):
+    """The Q-nuclear prox with one SVD per transformed slice, none skipped.
+
+    Same arguments and results as ``tqrank.qnorm._prox_unfolded``: t3 is the
+    (n1*n2, n3) mode-3 unfolding, q an (n3, r) column-orthonormal transform.
+    """
+    g3 = t3 @ q
+    stack = np.moveaxis(np.reshape(g3, (n1, n2, -1), order="F"), 2, 0)
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    s = np.maximum(s - lam, 0.0)
+    shrunk = np.matmul(u * s[:, None, :], vh)
+    g3_shrunk = np.reshape(np.moveaxis(shrunk, 0, 2), (n1 * n2, -1), order="F")
+    x3 = g3_shrunk @ q.T + (t3 - g3 @ q.T)
+    return x3, float(s.sum())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tqrank.bench
 from tqrank.bench import (
     GridResult,
     bernoulli_mask,
@@ -123,6 +124,22 @@ def test_run_grid_records_failures_without_aborting():
     grid = run_grid(4, [0.5], [1], 2, SolverConfig(r=100), seed=0)
     assert grid.failed.all()
     assert np.array_equal(grid.psnr, np.zeros((1, 1)))
+
+
+def test_run_grid_records_failure_causes(monkeypatch):
+    grid = run_grid(20, [0.5], [3], 1, SolverConfig(r=100), seed=0)
+    assert grid.failed.tolist() == [[True]]
+    assert grid.errors == [
+        (0, 0, 0, "ValueError: need 1 <= r <= min(n1*n2, n3) = 20, got r=100")]
+    assert grid_to_csv(grid) == "p,r,psnr_mean,psnr_std,trials\n0.5,3,0.000000,0.000000,1\n"
+    assert run_grid(4, [0.9], [1], 1, SolverConfig(), seed=0).errors == []
+
+    # anything but a numerical error is a bug and aborts the grid
+    def broken(*args):
+        raise KeyError("bug")
+    monkeypatch.setattr(tqrank.bench, "admm_complete", broken)
+    with pytest.raises(KeyError):
+        run_grid(4, [0.9], [1], 1, SolverConfig(), seed=0)
 
 
 def test_run_grid_validation():

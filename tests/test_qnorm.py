@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import prox_unfolded_unscreened
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
 from tqrank.qnorm import (
+    _live_slices,
+    _prox_unfolded,
+    _slice_stack,
     envelope_gap,
     prox_q_nuclear,
     q_nuclear_norm,
@@ -128,6 +135,95 @@ def test_prox_matches_slicewise_svt():
             got = prox_q_nuclear(t, np.eye(5), lam)
             for i in range(5):
                 assert np.allclose(got[:, :, i], svt(t[:, :, i], lam), atol=1e-10)
+
+
+def screen_case(n1, n2, n3, r, seed):
+    """Unfolded t3, column-orthonormal q and lam for the prox screen.
+
+    The transformed slices cycle through four kinds: small enough for the
+    Frobenius bound to drop, a partial isometry scaled by 0.9 that only the
+    Gram bound drops, clearly live, and an unscaled partial isometry, whose
+    Gram bound is tight and whose LAPACK sigma_max is returned as lam.
+    For thin q, t3 also carries a component outside the span of q.
+    """
+    rng = np.random.default_rng(seed)
+    k = min(n1, n2)
+    slices = []
+    for i in range(r):
+        kind = i % 4
+        if kind == 0:
+            g = rng.standard_normal((n1, n2))
+            g *= 0.5 / np.linalg.norm(g)
+        elif kind == 2:
+            g = 3.0 * rng.standard_normal((n1, n2))
+        else:
+            iso, _ = np.linalg.qr(rng.standard_normal((max(n1, n2), k)))
+            g = (0.9 if kind == 1 else 1.0) * (iso if n1 >= n2 else iso.T)
+        slices.append(g)
+    g3 = np.reshape(np.stack(slices, axis=2), (n1 * n2, r), order="F")
+    q = random_orthonormal(n3, r, seed)
+    t3 = g3 @ q.T + rng.standard_normal((n1 * n2, n3)) @ (np.eye(n3) - q @ q.T)
+    sigma = np.linalg.svd(_slice_stack(t3 @ q, n1, n2), compute_uv=False)
+    return t3, q, float(sigma[3, 0])
+
+
+@pytest.mark.parametrize("n1,n2", [(5, 5), (4, 7), (7, 3)])
+@pytest.mark.parametrize("r", [4, 6], ids=["thin", "square"])
+@pytest.mark.parametrize("where", ["none", "part", "below", "at", "above", "all"])
+def test_screened_prox_bit_identical_to_unscreened(n1, n2, r, where):
+    t3, q, sigma = screen_case(n1, n2, 6, r, seed=n1 * 10 + n2)
+    lam = {"none": 1e-6, "part": 1.0, "below": np.nextafter(sigma, 0.0), "at": sigma,
+           "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
+    stack = _slice_stack(t3 @ q, n1, n2)
+    live = _live_slices(stack, lam)
+    fro = np.linalg.norm(stack, axis=(1, 2))
+    if where == "none":
+        assert live.all()
+    elif where == "all":
+        assert not live.any()
+    else:
+        # Frobenius bound, Gram bound, live, in the order screen_case builds them
+        assert not live[0::4].any() and fro[0] <= lam
+        assert not live[1::4].any() and fro[1] > lam
+        assert live[2::4].all()
+        assert live[3]
+    x3, objective = _prox_unfolded(t3, q, lam, n1, n2)
+    want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, n1, n2)
+    assert np.array_equal(x3, want_x3)
+    assert objective == want_objective
+
+
+def test_screen_keeps_every_slice_at_a_lam_whose_square_underflows():
+    # entries of 1e-190 square to zero, so neither bound could see them
+    t3, q, _ = screen_case(4, 4, 6, 6, seed=3)
+    t3 = t3 * 1e-190
+    lam = 1e-200
+    assert _live_slices(_slice_stack(t3 @ q, 4, 4), lam).all()
+    x3, objective = _prox_unfolded(t3, q, lam, 4, 4)
+    want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, 4, 4)
+    assert np.array_equal(x3, want_x3) and objective == want_objective > 0.0
+
+
+@st.composite
+def stacks_and_lams(draw):
+    r, n1, n2 = (draw(st.integers(1, 6)) for _ in range(3))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    stack = scale * draw(arrays(np.float64, (r, n1, n2),
+                                elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    sigma = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    lam = draw(st.one_of(
+        st.sampled_from(sigma.tolist()).filter(lambda s: s > 0.0),
+        st.sampled_from(sigma.tolist()).map(lambda s: float(np.nextafter(s, 0.0))),
+        st.floats(1e-6 * scale, 10.0 * scale)))
+    return stack, lam, sigma
+
+
+@settings(deadline=None)
+@given(stacks_and_lams())
+def test_screen_drops_only_slices_the_prox_zeroes(case):
+    stack, lam, sigma = case
+    live = _live_slices(stack, lam)
+    assert np.all(sigma[~live] <= lam)
 
 
 def prox_objective(x, t, q, lam):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import matrix_complete_admm
+import tqrank.solver
+from oracles import matrix_complete_admm, prox_unfolded_unscreened
 from tqrank.bench import bernoulli_mask, psnr, synth_low_qrank
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
 from tqrank.qnorm import q_nuclear_norm
@@ -98,6 +99,22 @@ def test_determinism():
     assert r1.res_feas == r2.res_feas
     assert r1.q_drift == r2.q_drift
     assert r1.objectives == r2.objectives
+
+
+@pytest.mark.parametrize("q_mode", ["adaptive", "dct"])
+def test_screened_prox_solve_bit_identical_to_unscreened(monkeypatch, q_mode):
+    _, _, mask, y = masked_instance(20, 3, 0.5, 21)
+    cfg = SolverConfig() if q_mode == "adaptive" else \
+        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
+    x, report = admm_complete(y, mask, cfg)
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", prox_unfolded_unscreened)
+    want_x, want = admm_complete(y, mask, cfg)
+    assert report.converged
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(report.q_final, want.q_final)
+    for name in ("iterations", "res_feas", "res_x", "res_e", "mu_final", "q_drift",
+                 "converged", "objectives", "res_feas_fro", "res_e_fro", "e_omega_max"):
+        assert getattr(report, name) == getattr(want, name), name
 
 
 def test_adaptive_beats_random_fixed():

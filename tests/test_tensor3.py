@@ -1,6 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from tqrank.orth import write_q
 from tqrank.tensor3 import (
     FormatError,
     ObservationMask,
@@ -247,3 +251,15 @@ def test_mask_parser_rejects_malformed(tmp_path):
     path.write_text("m3 2 2 2 1\n1 1\n")
     with pytest.raises(FormatError, match="expected 'i j k'"):
         read_mask(path)
+
+
+def test_writers_give_files_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_tensor(tmp_path / "t.t3", random_tensor((2, 2, 2), 1))
+        write_mask(tmp_path / "m.m3", ObservationMask(np.ones((2, 2, 2), dtype=bool)))
+        write_q(tmp_path / "q.q", np.eye(2))
+    finally:
+        os.umask(old)
+    for name in ("t.t3", "m.m3", "q.q"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
