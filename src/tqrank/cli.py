@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from .bench import bernoulli_mask, psnr, run_grid, synth_low_qrank, write_grid_csv
-from .orth import dct_matrix, identity_q, orthonormality_defect, pca_q, random_orthonormal, read_q
+from .orth import (EXTERNAL_Q_TOL, dct_matrix, identity_q, orthonormality_defect, pca_q,
+                   random_orthonormal, read_q)
 from .qnorm import q_singular_values
 from .solver import SolverConfig, _mu_at, admm_complete
 from .tensor3 import (
@@ -24,8 +25,6 @@ from .tensor3 import (
     write_tensor,
     write_text_atomic,
 )
-
-Q_FILE_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,14 +102,14 @@ def _load_q_file(path, n3):
     if q.shape[0] != n3:
         raise ValueError(f"transform has {q.shape[0]} rows, expected n3={n3}")
     defect = orthonormality_defect(q)
-    if defect > Q_FILE_TOL:
-        raise ValueError(f"transform columns are not orthonormal: defect {defect:.3e} > {Q_FILE_TOL:.1e}")
+    if defect > EXTERNAL_Q_TOL:
+        raise ValueError(f"transform columns are not orthonormal: defect {defect:.3e} > {EXTERNAL_Q_TOL:.1e}")
     return q
 
 
 def _solver_config(args):
     return SolverConfig(rho=args.rho, mu0=args.mu0, mu_max=args.mu_max, eps=args.eps,
-                        K=args.K, r=args.r, max_iters=args.max_iters, seed=args.seed)
+                        K=args.K, r=args.r, max_iters=args.max_iters)
 
 
 def cmd_complete(args):

@@ -9,10 +9,12 @@ spectrum should be made through the projector Q @ Q.T, never column-wise.
 
 import numpy as np
 
-from .tensor3 import FormatError, unfold3, write_text_atomic
+from .tensor3 import FormatError, parse_floats, unfold3, write_text_atomic
 
 # constructors must meet this; externally supplied matrices get looser checks
 ORTHONORMALITY_TOL = 1e-10
+# orthonormality tolerance for transforms supplied from outside (q files, fixed Q)
+EXTERNAL_Q_TOL = 1e-6
 
 
 def orthonormality_defect(q):
@@ -146,21 +148,4 @@ def read_q(path):
         raise FormatError("line 1: n and r must be integers") from None
     if n <= 0 or not 1 <= r <= n:
         raise FormatError(f"line 1: need n >= 1 and 1 <= r <= n, got n={n}, r={r}")
-    expected = n * r
-    values = np.empty(expected)
-    filled = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        for token in line.split():
-            if filled >= expected:
-                raise FormatError(f"line {line_no}: more than {expected} values")
-            try:
-                value = float(token)
-            except ValueError:
-                raise FormatError(f"line {line_no}: bad float {token!r}") from None
-            if not np.isfinite(value):
-                raise FormatError(f"line {line_no}: non-finite value {token!r}")
-            values[filled] = value
-            filled += 1
-    if filled != expected:
-        raise FormatError(f"expected {expected} values, found {filled}")
-    return values.reshape(n, r, order="F")
+    return parse_floats(lines, n * r).reshape(n, r, order="F")

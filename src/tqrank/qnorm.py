@@ -25,6 +25,10 @@ RANK_TOL = 1e-8
 SCREEN_MARGIN = 1e-8
 # smallest lam the screen works at: squares of entries near it stay normal floats
 SCREEN_MIN_LAM = 1e-140
+# the prox takes its slices in batches of at most this many bytes per stack:
+# glibc keeps what a pool thread frees in that thread's own arena, and batches
+# of whole chunks raised the peak RSS of an n=60 DCT solve by 4 MB, not 1.5 MB
+SVD_BATCH_BYTES = 1 << 17
 
 
 def _slice_stack(g3, n1, n2):
@@ -81,6 +85,33 @@ def q_spectral_norm(t, q):
     return float(q_singular_values(t, q).max())
 
 
+def _frobenius_screen(stack, lam):
+    """First step of ``_live_slices``: indices of the slices the Frobenius bound
+    keeps, and a mask over all slices of those the Gram bound must decide."""
+    r, n1, n2 = stack.shape
+    if lam < SCREEN_MIN_LAM:
+        return np.arange(r), np.zeros(r, dtype=bool)
+    fro = np.linalg.norm(stack, axis=(1, 2))
+    return np.flatnonzero(fro > lam * (1.0 - SCREEN_MARGIN)), fro <= lam * np.sqrt(min(n1, n2))
+
+
+def _gram_screen(stack, keep, unsure, lam):
+    """Second step of ``_live_slices``: the indices in keep the Gram bound keeps.
+
+    unsure[i] says whether slice keep[i] needs the bound.
+    """
+    if not unsure.any():
+        return keep
+    _, n1, n2 = stack.shape
+    g = stack[keep[unsure]]
+    gram = g @ g.transpose(0, 2, 1) if n1 <= n2 else g.transpose(0, 2, 1) @ g
+    del g  # with abs in place, at most two stack-sized arrays live here
+    live = np.ones(len(keep), dtype=bool)
+    bound = np.sqrt(np.abs(gram, out=gram).sum(axis=2).max(axis=1))
+    live[unsure] = bound > lam * (1.0 - SCREEN_MARGIN)
+    return keep[live]
+
+
 def _live_slices(stack, lam):
     """Mask of the slices in an (r, n1, n2) stack whose sigma_max may exceed lam.
 
@@ -94,21 +125,13 @@ def _live_slices(stack, lam):
     SCREEN_MIN_LAM the squares in both bounds could underflow, so every
     slice is kept.
     """
-    r, n1, n2 = stack.shape
-    if lam < SCREEN_MIN_LAM:
-        return np.ones(r, dtype=bool)
-    cut = lam * (1.0 - SCREEN_MARGIN)
-    fro = np.linalg.norm(stack, axis=(1, 2))
-    live = fro > cut
-    unsure = live & (fro <= lam * np.sqrt(min(n1, n2)))
-    if unsure.any():
-        g = stack[unsure]
-        gram = g @ g.transpose(0, 2, 1) if n1 <= n2 else g.transpose(0, 2, 1) @ g
-        live[unsure] = np.sqrt(np.abs(gram).sum(axis=2).max(axis=1)) > cut
+    keep, unsure = _frobenius_screen(stack, lam)
+    live = np.zeros(len(stack), dtype=bool)
+    live[_gram_screen(stack, keep, unsure[keep], lam)] = True
     return live
 
 
-def _prox_unfolded(t3, q, lam, n1, n2):
+def _prox_unfolded(t3, q, lam, n1, n2, pool=None):
     """Prox of lam * q_nuclear_norm on the unfolded tensor t3.
 
     Shrinks each transformed slice's singular values by lam and passes the
@@ -116,22 +139,38 @@ def _prox_unfolded(t3, q, lam, n1, n2):
     unfolded result and the post-shrinkage nuclear norm (the q-nuclear norm
     of the result under this q).  Only the slices ``_live_slices`` keeps get
     an SVD; the rest are exact zeros, as the shrinkage would make them.
+    With a ``threads.SlicePool`` the slices the Frobenius bound keeps are
+    split into chunks that run the Gram bound, the SVD and the shrink on
+    the pool's threads, in batches of at most SVD_BATCH_BYTES per stack;
+    each slice's result is the same as in one batch of all slices.
     """
     g3 = t3 @ q
     stack = _slice_stack(g3, n1, n2)
     r = stack.shape[0]
-    live = _live_slices(stack, lam)
+    keep, unsure = _frobenius_screen(stack, lam)
     # C order, the layout np.matmul gives: the product with q.T below then
     # takes the same BLAS path whether or not any slice was screened out
     shrunk = np.zeros((r, n1, n2))
     s_all = np.zeros((r, min(n1, n2)))
-    if live.any():
-        u, s, vh = np.linalg.svd(stack[live], full_matrices=False)
-        s = np.maximum(s - lam, 0.0)
-        u *= s[:, None, :]
-        shrunk[live] = np.matmul(u, vh)
-        s_all[live] = s
-        del u, vh
+
+    batch = max(1, SVD_BATCH_BYTES // (8 * n1 * n2))
+
+    def shrink(chunk):
+        # chunks write disjoint rows of shrunk and s_all, so no lock is needed
+        for start in range(0, len(chunk), batch):
+            idx = chunk[start:start + batch]
+            idx = _gram_screen(stack, idx, unsure[idx], lam)
+            if idx.size:
+                u, s, vh = np.linalg.svd(stack[idx], full_matrices=False)
+                s = np.maximum(s - lam, 0.0)
+                u *= s[:, None, :]
+                shrunk[idx] = np.matmul(u, vh)
+                s_all[idx] = s
+
+    if pool is None:
+        shrink(keep)
+    else:
+        pool.run(shrink, keep)
     g3_shrunk = _stack_to_unfolding(shrunk, n1, n2)
     del shrunk
     x3 = g3_shrunk @ q.T + (t3 - g3 @ q.T)

@@ -15,16 +15,15 @@ requires all three infinity-norm residuals (feasibility, X step, E step)
 to fall below eps in the same iteration.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .orth import check_orthonormal, identity_q, right_singular_basis
+from .orth import EXTERNAL_Q_TOL, check_orthonormal, identity_q, right_singular_basis
 from .qnorm import _prox_unfolded, q_nuclear_norm
 from .tensor3 import fold3, unfold3, validate_tensor
-
-# orthonormality tolerance for transforms supplied from outside
-FIXED_Q_TOL = 1e-6
+from .threads import solve_scope
 
 
 @dataclass
@@ -38,7 +37,6 @@ class SolverConfig:
     max_iters: int = 500
     q_mode: str = "adaptive"  # "adaptive" or "fixed"
     q_fixed: np.ndarray | None = None
-    seed: int = 0
 
     def validate(self):
         if not self.rho > 1:
@@ -87,7 +85,11 @@ class SolverReport:
 
 
 def _mu_at(cfg, k):
-    # mu after k growth steps; exact closed form, not an iterated product
+    # mu after k growth steps; exact closed form, not an iterated product.
+    # Past rho**k = e * mu_max / mu0 the product is surely capped; return the
+    # cap there, since rho**k itself overflows a float (from k = 7448 at 1.1).
+    if k * math.log(cfg.rho) > math.log(cfg.mu_max) - math.log(cfg.mu0) + 1.0:
+        return cfg.mu_max
     return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
 
 
@@ -115,7 +117,7 @@ def admm_complete(y, mask, cfg):
             raise ValueError(f"need 1 <= r <= min(n1*n2, n3) = {rmax}, got r={r}")
         q = identity_q(n3, r)
     else:
-        q = check_orthonormal(cfg.q_fixed, tol=FIXED_Q_TOL)
+        q = check_orthonormal(cfg.q_fixed, tol=EXTERNAL_Q_TOL)
         if q.shape[0] != n3:
             raise ValueError(f"fixed transform has {q.shape[0]} rows, expected n3={n3}")
         r = q.shape[1]
@@ -126,31 +128,36 @@ def admm_complete(y, mask, cfg):
     proj = q @ q.T
 
     report = SolverReport()
-    for k in range(1, cfg.max_iters + 1):
-        mu = _mu_at(cfg, k - 1)
-        t3 = y3 - e3 + z3 / mu
-        if adaptive and (k - 1) % cfg.K == 0:
-            q_new = right_singular_basis(t3, r)
-            proj_new = q_new @ q_new.T
-            report.q_drift.append(float(np.linalg.norm(proj_new - proj)))
-            q, proj = q_new, proj_new
-        x3_new, objective = _prox_unfolded(t3, q, 1.0 / mu, n1, n2)
-        e3_new = np.where(m3, 0.0, y3 - x3_new + z3 / mu)
-        gap = y3 - x3_new - e3_new
-        z3 = z3 + mu * gap
+    with solve_scope() as pool:
+        for k in range(1, cfg.max_iters + 1):
+            mu = _mu_at(cfg, k - 1)
+            t3 = y3 - e3 + z3 / mu
+            if adaptive and (k - 1) % cfg.K == 0:
+                q_new = right_singular_basis(t3, r)
+                proj_new = q_new @ q_new.T
+                report.q_drift.append(float(np.linalg.norm(proj_new - proj)))
+                q, proj = q_new, proj_new
+            x3_new, objective = _prox_unfolded(t3, q, 1.0 / mu, n1, n2, pool=pool)
+            e3_new = np.where(m3, 0.0, y3 - x3_new + z3 / mu)
+            gap = y3 - x3_new - e3_new
+            z3 = z3 + mu * gap
 
-        report.res_feas.append(float(np.max(np.abs(gap))))
-        report.res_x.append(float(np.max(np.abs(x3_new - x3))))
-        report.res_e.append(float(np.max(np.abs(e3_new - e3))))
-        report.res_feas_fro.append(float(np.linalg.norm(gap)))
-        report.res_e_fro.append(float(np.linalg.norm(e3_new - e3)))
-        report.objectives.append(objective)
-        x3, e3 = x3_new, e3_new
+            report.res_feas.append(float(np.max(np.abs(gap))))
+            report.res_x.append(float(np.max(np.abs(x3_new - x3))))
+            report.res_e.append(float(np.max(np.abs(e3_new - e3))))
+            report.res_feas_fro.append(float(np.linalg.norm(gap)))
+            report.res_e_fro.append(float(np.linalg.norm(e3_new - e3)))
+            report.objectives.append(objective)
+            x3, e3 = x3_new, e3_new
 
-        if report.res_feas[-1] <= cfg.eps and report.res_x[-1] <= cfg.eps \
-                and report.res_e[-1] <= cfg.eps:
-            report.converged = True
-            break
+            for name in ("res_feas", "res_x", "res_e"):
+                value = getattr(report, name)[-1]
+                if not math.isfinite(value):
+                    raise ValueError(f"iteration {k}: residual {name} is {value}")
+            if report.res_feas[-1] <= cfg.eps and report.res_x[-1] <= cfg.eps \
+                    and report.res_e[-1] <= cfg.eps:
+                report.converged = True
+                break
 
     report.iterations = len(report.res_feas)
     report.mu_final = _mu_at(cfg, report.iterations)

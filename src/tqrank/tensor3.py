@@ -185,6 +185,27 @@ def _positive_int(token, what, line_no):
     return value
 
 
+def parse_floats(lines, expected):
+    """Exactly ``expected`` finite floats from the lines after a header line."""
+    values = np.empty(expected)
+    filled = 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        for token in line.split():
+            if filled >= expected:
+                raise FormatError(f"line {line_no}: more than {expected} values")
+            try:
+                value = float(token)
+            except ValueError:
+                raise FormatError(f"line {line_no}: bad float {token!r}") from None
+            if not np.isfinite(value):
+                raise FormatError(f"line {line_no}: non-finite value {token!r}")
+            values[filled] = value
+            filled += 1
+    if filled != expected:
+        raise FormatError(f"expected {expected} values, found {filled}")
+    return values
+
+
 def format_tensor(t):
     """Serialize a tensor in the ``t3`` format (one slice column per line)."""
     t = validate_tensor(t)
@@ -211,23 +232,7 @@ def read_tensor(path):
         raise FormatError("line 1: expected header 't3 n1 n2 n3'")
     n1, n2, n3 = (_positive_int(tok, name, 1)
                   for tok, name in zip(header[1:], ("n1", "n2", "n3")))
-    expected = n1 * n2 * n3
-    values = np.empty(expected)
-    filled = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        for token in line.split():
-            if filled >= expected:
-                raise FormatError(f"line {line_no}: more than {expected} values")
-            try:
-                value = float(token)
-            except ValueError:
-                raise FormatError(f"line {line_no}: bad float {token!r}") from None
-            if not np.isfinite(value):
-                raise FormatError(f"line {line_no}: non-finite value {token!r}")
-            values[filled] = value
-            filled += 1
-    if filled != expected:
-        raise FormatError(f"expected {expected} values, found {filled}")
+    values = parse_floats(lines, n1 * n2 * n3)
     return fold3(values.reshape(n1 * n2, n3, order="F"), (n1, n2, n3))
 
 

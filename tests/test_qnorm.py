@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tqrank.qnorm
 from oracles import prox_unfolded_unscreened
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
 from tqrank.qnorm import (
@@ -19,6 +20,7 @@ from tqrank.qnorm import (
 )
 from tqrank.tensor3 import fold3, frobenius, mode3_product
 from tqrank.bench import synth_low_qrank
+from tqrank.threads import SlicePool
 
 
 def svt(mat, lam):
@@ -202,6 +204,68 @@ def test_screen_keeps_every_slice_at_a_lam_whose_square_underflows():
     x3, objective = _prox_unfolded(t3, q, lam, 4, 4)
     want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, 4, 4)
     assert np.array_equal(x3, want_x3) and objective == want_objective > 0.0
+
+
+@pytest.fixture(scope="module")
+def pools():
+    # more chunks than cores and than slices are both legal splits
+    made = [SlicePool(cores) for cores in (2, 3, 7)]
+    yield made
+    for pool in made:
+        pool.close()
+
+
+@pytest.mark.parametrize("where", ["none", "part", "below", "at", "above", "all"])
+def test_pooled_prox_bit_identical_to_unscreened(pools, where):
+    for n1, n2 in ((5, 5), (4, 7), (7, 3)):
+        for r in (4, 6):
+            t3, q, sigma = screen_case(n1, n2, 6, r, seed=n1 * 10 + n2)
+            lam = {"none": 1e-6, "part": 1.0, "below": np.nextafter(sigma, 0.0), "at": sigma,
+                   "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
+            want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, n1, n2)
+            for pool in pools:
+                x3, objective = _prox_unfolded(t3, q, lam, n1, n2, pool=pool)
+                assert np.array_equal(x3, want_x3)
+                assert objective == want_objective
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_pooled_prox_bit_identical_on_a_stack_of_20_slices(monkeypatch, pools, batch):
+    if batch is not None:
+        monkeypatch.setattr(tqrank.qnorm, "SVD_BATCH_BYTES", batch * 8 * 20 * 20)
+    y, _ = synth_low_qrank(20, 20, 20, 6, seed=5)
+    t3 = np.reshape(y, (400, 20), order="F") + 0.01
+    q = dct_matrix(20)
+    sigma = np.sort(q_singular_values(y + 0.01, q)[:, 0])
+    for lam in (0.0, sigma[5], sigma[14], sigma[-1] * 2):
+        want = prox_unfolded_unscreened(t3, q, lam, 20, 20)
+        for pool in [None, *pools]:
+            x3, objective = _prox_unfolded(t3, q, lam, 20, 20, pool=pool)
+            assert np.array_equal(x3, want[0]) and objective == want[1]
+
+
+def test_slice_pool_runs_contiguous_chunks_and_reraises():
+    pool = SlicePool(3)
+    try:
+        seen = []
+        pool.run(lambda idx: seen.append(idx.tolist()), np.arange(7))
+        assert sorted(seen) == [[0, 1, 2], [3, 4], [5, 6]]
+        seen.clear()
+        pool.run(lambda idx: seen.append(idx.tolist()), np.arange(0))
+        assert seen == [[]]
+
+        def fail(idx):
+            seen.append(idx.tolist())
+            if idx[0] == 5:
+                raise ValueError("chunk at 5")
+
+        seen.clear()
+        with pytest.raises(ValueError, match="chunk at 5"):
+            pool.run(fail, np.arange(7))
+        # the failure surfaces only after every chunk has run
+        assert sorted(seen) == [[0, 1, 2], [3, 4], [5, 6]]
+    finally:
+        pool.close()
 
 
 @st.composite

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import tqrank.solver
+import tqrank.threads
 from oracles import matrix_complete_admm, prox_unfolded_unscreened
 from tqrank.bench import bernoulli_mask, psnr, synth_low_qrank
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
@@ -91,6 +98,16 @@ def test_mu_schedule_closed_form():
     assert _mu_at(cfg, 60) == 50.0
 
 
+def test_mu_schedule_default_config_and_past_the_cap():
+    cfg = SolverConfig()
+    for k in range(501):
+        assert _mu_at(cfg, k) == min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
+    # rho ** k alone overflows a float at these k
+    for k in (7500, 10 ** 6, 10 ** 12):
+        assert _mu_at(cfg, k) == cfg.mu_max
+    assert _mu_at(SolverConfig(rho=2.0), 1024) == 1e10
+
+
 def test_determinism():
     _, _, mask, y = masked_instance(6, 2, 0.5, 3)
     x1, r1 = admm_complete(y, mask, SolverConfig())
@@ -107,7 +124,9 @@ def test_screened_prox_solve_bit_identical_to_unscreened(monkeypatch, q_mode):
     cfg = SolverConfig() if q_mode == "adaptive" else \
         SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
     x, report = admm_complete(y, mask, cfg)
-    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", prox_unfolded_unscreened)
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded",
+                        lambda t3, q, lam, n1, n2, pool=None:
+                        prox_unfolded_unscreened(t3, q, lam, n1, n2))
     want_x, want = admm_complete(y, mask, cfg)
     assert report.converged
     assert np.array_equal(x, want_x)
@@ -210,3 +229,216 @@ def test_refresh_period_respected():
     assert len(report.q_drift) == 4
     _, report1 = admm_complete(y, mask, SolverConfig(K=1, max_iters=20, eps=1e-14))
     assert len(report1.q_drift) == 20
+
+
+SOLVE_FIELDS = ("iterations", "res_feas", "res_x", "res_e", "mu_final", "q_drift", "converged",
+                "objectives", "res_feas_fro", "res_e_fro", "e_omega_max")
+
+
+def assert_same_solve(got, want):
+    (x, report), (want_x, want_report) = got, want
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(report.q_final, want_report.q_final)
+    for name in SOLVE_FIELDS:
+        assert getattr(report, name) == getattr(want_report, name), name
+
+
+def n20_config(q_mode):
+    return SolverConfig() if q_mode == "adaptive" else \
+        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
+
+
+def test_nonfinite_residual_stops_the_solve(monkeypatch):
+    _, _, mask, y = masked_instance(6, 2, 0.5, 3)
+    calls = []
+
+    def prox(t3, q, lam, n1, n2, pool=None):
+        calls.append(lam)
+        x3, objective = prox_unfolded_unscreened(t3, q, lam, n1, n2)
+        return (x3 if len(calls) < 3 else np.full_like(x3, np.nan)), objective
+
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", prox)
+    with pytest.raises(ValueError, match="iteration 3: residual res_feas is nan"):
+        admm_complete(y, mask, SolverConfig())
+
+
+def require_blas():
+    blas = tqrank.threads.blas_control()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    return blas
+
+
+@pytest.mark.parametrize("q_mode", ["adaptive", "dct"])
+def test_thread_policy_bit_identical_to_serial(monkeypatch, q_mode):
+    _, _, mask, y = masked_instance(20, 3, 0.5, 21)
+    cfg = n20_config(q_mode)
+    pooled = admm_complete(y, mask, cfg)
+    monkeypatch.setattr(tqrank.threads, "blas_control", lambda: None)
+    serial = admm_complete(y, mask, cfg)
+    assert pooled[1].converged
+    assert_same_solve(pooled, serial)
+
+
+def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
+    get, put = require_blas()
+    _, _, mask, y = masked_instance(8, 2, 0.6, 2)
+    prox = tqrank.solver._prox_unfolded
+    inside = []
+
+    def spy(*args, **kwargs):
+        inside.append(get())
+        if len(inside) == 3 and fail:
+            raise RuntimeError("prox failed")
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", spy)
+    before = get()
+    try:
+        for count in (2, 1):
+            put(count)
+            for fail in (False, True):
+                inside.clear()
+                if fail:
+                    with pytest.raises(RuntimeError, match="prox failed"):
+                        admm_complete(y, mask, SolverConfig())
+                else:
+                    admm_complete(y, mask, SolverConfig())
+                assert set(inside) == {1}
+                assert get() == count
+    finally:
+        put(before)
+
+
+def test_blas_count_restored_after_overlapping_solves(monkeypatch):
+    # the first solve in leaves while the second is still running; BLAS
+    # must stay at one thread until the second leaves, then go back
+    get, _ = require_blas()
+    _, _, mask, y = masked_instance(10, 2, 0.5, 31)
+    want_short = admm_complete(y, mask, SolverConfig(max_iters=2))
+    want_long = admm_complete(y, mask, SolverConfig())
+    before = get()
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    counts, results, errors = [], {}, []
+    prox = tqrank.solver._prox_unfolded
+
+    def gated(*args, **kwargs):
+        if threading.current_thread().name == "first":
+            first_in.set()
+            assert second_in.wait(60)
+        elif not second_in.is_set():
+            second_in.set()
+            assert first_out.wait(60)
+        counts.append(get())
+        return prox(*args, **kwargs)
+
+    def solve(name, cfg):
+        try:
+            results[name] = admm_complete(y, mask, cfg)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if name == "first":
+                first_out.set()
+
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", gated)
+    first = threading.Thread(target=solve, name="first", args=("first", SolverConfig(max_iters=2)))
+    second = threading.Thread(target=solve, name="second", args=("second", SolverConfig()))
+    first.start()
+    assert first_in.wait(60)
+    second.start()
+    first.join(120)
+    second.join(120)
+    assert not first.is_alive() and not second.is_alive()
+    assert not errors
+    assert set(counts) == {1}
+    assert get() == before
+    assert_same_solve(results["first"], want_short)
+    assert_same_solve(results["second"], want_long)
+
+
+def test_many_concurrent_solves_keep_results_and_the_blas_count():
+    get, _ = require_blas()
+    _, _, mask, y = masked_instance(8, 2, 0.6, 2)
+    cfgs = [SolverConfig(max_iters=m) for m in (5, 40, 500, 17, 3, 250)]
+    want = [admm_complete(y, mask, cfg) for cfg in cfgs]
+    before = get()
+    results, errors = {}, []
+
+    def solve(i):
+        try:
+            results[i] = admm_complete(y, mask, cfgs[i])
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(cfgs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert get() == before
+    for i, expected in enumerate(want):
+        assert_same_solve(results[i], expected)
+
+
+def test_solve_in_a_forked_child_after_a_solve_in_the_parent():
+    _, _, mask, y = masked_instance(10, 2, 0.5, 41)
+    x, _ = admm_complete(y, mask, SolverConfig())
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(admm_complete(y, mask, SolverConfig())[0], x) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the solve in the forked child did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+SOLVE_DIGEST = """
+import hashlib
+import numpy as np
+from tqrank import SolverConfig, admm_complete, bernoulli_mask, dct_matrix, project_omega
+from tqrank.bench import synth_low_qrank
+
+digest = hashlib.sha256()
+y_true, _ = synth_low_qrank(20, 20, 20, 3, 21)
+mask = bernoulli_mask(20, 20, 20, 0.5, 1021)
+y = project_omega(y_true, mask)
+for cfg in (SolverConfig(), SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))):
+    x, report = admm_complete(y, mask, cfg)
+    digest.update(x.tobytes())
+    digest.update(report.q_final.tobytes())
+    digest.update(repr([getattr(report, name) for name in {fields!r}]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads_at_start():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", SOLVE_DIGEST.format(fields=SOLVE_FIELDS)],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
