@@ -27,7 +27,8 @@ SCREEN_MARGIN = 1e-8
 SCREEN_MIN_LAM = 1e-140
 # the prox takes its slices in batches of at most this many bytes per stack:
 # glibc keeps what a pool thread frees in that thread's own arena, and batches
-# of whole chunks raised the peak RSS of an n=60 DCT solve by 4 MB, not 1.5 MB
+# of whole chunks raised the peak RSS of an n=60 DCT solve by 4 MB against the
+# serial prox, where these batches raise it by 1.5 MB
 SVD_BATCH_BYTES = 1 << 17
 
 
@@ -105,7 +106,7 @@ def _gram_screen(stack, keep, unsure, lam):
     _, n1, n2 = stack.shape
     g = stack[keep[unsure]]
     gram = g @ g.transpose(0, 2, 1) if n1 <= n2 else g.transpose(0, 2, 1) @ g
-    del g  # with abs in place, at most two stack-sized arrays live here
+    del g  # with abs in place, at most two arrays of this size live at once
     live = np.ones(len(keep), dtype=bool)
     bound = np.sqrt(np.abs(gram, out=gram).sum(axis=2).max(axis=1))
     live[unsure] = bound > lam * (1.0 - SCREEN_MARGIN)

@@ -118,22 +118,33 @@ def test_determinism():
     assert r1.objectives == r2.objectives
 
 
+SOLVE_FIELDS = ("iterations", "res_feas", "res_x", "res_e", "mu_final", "q_drift", "converged",
+                "objectives", "res_feas_fro", "res_e_fro", "e_omega_max")
+
+
+def assert_same_solve(got, want):
+    (x, report), (want_x, want_report) = got, want
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(report.q_final, want_report.q_final)
+    for name in SOLVE_FIELDS:
+        assert getattr(report, name) == getattr(want_report, name), name
+
+
+def n20_config(q_mode):
+    return SolverConfig() if q_mode == "adaptive" else \
+        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
+
+
 @pytest.mark.parametrize("q_mode", ["adaptive", "dct"])
 def test_screened_prox_solve_bit_identical_to_unscreened(monkeypatch, q_mode):
     _, _, mask, y = masked_instance(20, 3, 0.5, 21)
-    cfg = SolverConfig() if q_mode == "adaptive" else \
-        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
-    x, report = admm_complete(y, mask, cfg)
+    cfg = n20_config(q_mode)
+    got = admm_complete(y, mask, cfg)
     monkeypatch.setattr(tqrank.solver, "_prox_unfolded",
                         lambda t3, q, lam, n1, n2, pool=None:
                         prox_unfolded_unscreened(t3, q, lam, n1, n2))
-    want_x, want = admm_complete(y, mask, cfg)
-    assert report.converged
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(report.q_final, want.q_final)
-    for name in ("iterations", "res_feas", "res_x", "res_e", "mu_final", "q_drift",
-                 "converged", "objectives", "res_feas_fro", "res_e_fro", "e_omega_max"):
-        assert getattr(report, name) == getattr(want, name), name
+    assert got[1].converged
+    assert_same_solve(got, admm_complete(y, mask, cfg))
 
 
 def test_adaptive_beats_random_fixed():
@@ -229,23 +240,6 @@ def test_refresh_period_respected():
     assert len(report.q_drift) == 4
     _, report1 = admm_complete(y, mask, SolverConfig(K=1, max_iters=20, eps=1e-14))
     assert len(report1.q_drift) == 20
-
-
-SOLVE_FIELDS = ("iterations", "res_feas", "res_x", "res_e", "mu_final", "q_drift", "converged",
-                "objectives", "res_feas_fro", "res_e_fro", "e_omega_max")
-
-
-def assert_same_solve(got, want):
-    (x, report), (want_x, want_report) = got, want
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(report.q_final, want_report.q_final)
-    for name in SOLVE_FIELDS:
-        assert getattr(report, name) == getattr(want_report, name), name
-
-
-def n20_config(q_mode):
-    return SolverConfig() if q_mode == "adaptive" else \
-        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
 
 
 def test_nonfinite_residual_stops_the_solve(monkeypatch):
