@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from .bench import bernoulli_mask, psnr, run_grid, synth_low_qrank, write_grid_csv
-from .orth import (EXTERNAL_Q_TOL, dct_matrix, identity_q, orthonormality_defect, pca_q,
-                   random_orthonormal, read_q)
+from .orth import make_transform, pca_q
 from .qnorm import q_singular_values
 from .solver import SolverConfig, _mu_at, admm_complete
 from .tensor3 import (
@@ -54,7 +53,7 @@ def build_parser():
     comp.add_argument("--input", required=True, help="observed tensor (t3 format, zero off the mask)")
     comp.add_argument("--mask", required=True, help="observation mask (m3 format)")
     comp.add_argument("--output", required=True, help="where to write the completed tensor")
-    comp.add_argument("--q-mode", default="adaptive",
+    comp.add_argument("--q-mode", dest="transform", default="adaptive",
                       choices=["adaptive", "identity", "dct", "random", "file"],
                       help="transform choice (default: %(default)s)")
     comp.add_argument("--q-file", default=None, help="transform file for --q-mode file")
@@ -90,21 +89,18 @@ def build_parser():
     spec = subs.add_parser("spectrum", help="dump sorted transformed singular values",
                            description="Print the descending singular values of the transformed slices.")
     spec.add_argument("--input", required=True, help="tensor file")
-    spec.add_argument("--q-mode", default="adaptive", choices=["adaptive", "identity", "dct", "file"],
+    spec.add_argument("--q-mode", dest="transform", default="adaptive",
+                      choices=["adaptive", "identity", "dct", "file"],
                       help="transform choice (default: %(default)s)")
     spec.add_argument("--q-file", default=None, help="transform file for --q-mode file")
     spec.add_argument("--top", type=int, default=None, help="print only the largest N values (default: all)")
     return parser
 
 
-def _load_q_file(path, n3):
-    q = read_q(path)
-    if q.shape[0] != n3:
-        raise ValueError(f"transform has {q.shape[0]} rows, expected n3={n3}")
-    defect = orthonormality_defect(q)
-    if defect > EXTERNAL_Q_TOL:
-        raise ValueError(f"transform columns are not orthonormal: defect {defect:.3e} > {EXTERNAL_Q_TOL:.1e}")
-    return q
+def _fixed_q(args, n3, r, seed=0):
+    if args.transform == "file" and args.q_file is None:
+        raise ValueError("--q-mode file requires --q-file")
+    return make_transform(args.transform, n3, r, seed, args.q_file)
 
 
 def _solver_config(args):
@@ -115,24 +111,12 @@ def _solver_config(args):
 def cmd_complete(args):
     y = read_tensor(args.input)
     mask = read_mask(args.mask)
-    if mask.dims != y.shape:
-        raise ValueError(f"mask dims {mask.dims} do not match tensor dims {y.shape}")
     n1, n2, n3 = y.shape
     cfg = _solver_config(args)
-    if args.q_mode != "adaptive":
-        r = args.r if args.r is not None else min(n1 * n2, n3)
-        if args.q_mode == "identity":
-            q = identity_q(n3, r)
-        elif args.q_mode == "dct":
-            q = dct_matrix(n3)[:, :r]
-        elif args.q_mode == "random":
-            q = random_orthonormal(n3, r, args.seed)
-        else:
-            if args.q_file is None:
-                raise ValueError("--q-mode file requires --q-file")
-            q = _load_q_file(args.q_file, n3)
-        cfg.q_mode = "fixed"
-        cfg.q_fixed = q
+    if args.transform != "adaptive":
+        # a q file sets its own width; the other modes default to min(n1*n2, n3)
+        r = args.r if args.r is not None or args.transform == "file" else min(n1 * n2, n3)
+        cfg.q = _fixed_q(args, n3, r, args.seed)
 
     x, report = admm_complete(y, mask, cfg)
     write_tensor(args.output, x)
@@ -189,16 +173,7 @@ def cmd_psnr(args):
 def cmd_spectrum(args):
     t = read_tensor(args.input)
     n1, n2, n3 = t.shape
-    if args.q_mode == "adaptive":
-        q = pca_q(t, min(n1 * n2, n3))
-    elif args.q_mode == "identity":
-        q = identity_q(n3, n3)
-    elif args.q_mode == "dct":
-        q = dct_matrix(n3)
-    else:
-        if args.q_file is None:
-            raise ValueError("--q-mode file requires --q-file")
-        q = _load_q_file(args.q_file, n3)
+    q = pca_q(t, min(n1 * n2, n3)) if args.transform == "adaptive" else _fixed_q(args, n3, None)
     values = np.sort(q_singular_values(t, q).ravel())[::-1]
     if args.top is not None:
         if args.top < 1:

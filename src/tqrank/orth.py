@@ -9,7 +9,8 @@ spectrum should be made through the projector Q @ Q.T, never column-wise.
 
 import numpy as np
 
-from .tensor3 import FormatError, parse_floats, unfold3, write_text_atomic
+from .tensor3 import (FormatError, check_transform_rows, mode3_product, parse_floats, unfold3,
+                      write_text_atomic)
 
 # constructors must meet this; externally supplied matrices get looser checks
 ORTHONORMALITY_TOL = 1e-10
@@ -71,9 +72,6 @@ def right_singular_basis(m, r):
 
 def pca_q(t, r):
     """Transform built from the leading right singular vectors of unfold3(t)."""
-    n1, n2, n3 = t.shape
-    if not 1 <= r <= min(n1 * n2, n3):
-        raise ValueError(f"need 1 <= r <= min(n1*n2, n3) = {min(n1 * n2, n3)}, got r={r}")
     return right_singular_basis(unfold3(t), r)
 
 
@@ -102,13 +100,37 @@ def dct_matrix(n):
     return fix_signs(scale[None, :] * np.cos(np.pi * (2 * k - 1) * (l - 1) / (2 * n)))
 
 
+def check_given_q(q, n3, r=None):
+    """q after checking n3 rows, columns orthonormal to EXTERNAL_Q_TOL and,
+    unless r is None, exactly r columns."""
+    q = check_orthonormal(check_transform_rows(q, n3), tol=EXTERNAL_Q_TOL)
+    if r is not None and r != q.shape[1]:
+        raise ValueError(f"r={r} does not match the {q.shape[1]} columns of the given transform")
+    return q
+
+
+def make_transform(mode, n3, r=None, seed=0, path=None):
+    """Fixed (n3, r) transform: "identity", "dct", "random" (from seed) or "file" (at path).
+
+    r=None takes all n3 columns, or all of the q file's; a q file must pass ``check_given_q``.
+    """
+    if mode == "file":
+        return check_given_q(read_q(path), n3, r)
+    r = n3 if r is None else r
+    if not 1 <= r <= n3:
+        raise ValueError(f"need 1 <= r <= n3 = {n3}, got r={r}")
+    if mode == "identity":
+        return identity_q(n3, r)
+    if mode == "dct":
+        return dct_matrix(n3)[:, :r]
+    if mode == "random":
+        return random_orthonormal(n3, r, seed)
+    raise ValueError(f"unknown transform mode {mode!r}")
+
+
 def l21_of_unfolding(t, q):
     """Sum of column 2-norms of unfold3(t) @ q."""
-    n3 = t.shape[2]
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != n3:
-        raise ValueError(f"transform shape {q.shape} incompatible with n3={n3}")
-    return float(np.linalg.norm(unfold3(t) @ q, axis=0).sum())
+    return float(np.linalg.norm(unfold3(mode3_product(t, q)), axis=0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +154,8 @@ def write_q(path, q):
 def read_q(path):
     """Parse a ``q`` file into an (n, r) matrix.
 
-    Orthonormality is the caller's check; only shape and finiteness are
-    validated here.
+    Orthonormality is checked by ``check_given_q``; only shape and
+    finiteness are validated here.
     """
     with open(path) as handle:
         lines = handle.read().splitlines()

@@ -18,7 +18,7 @@ numerically.
 import numpy as np
 
 from .orth import pca_q
-from .tensor3 import fold3, unfold3
+from .tensor3 import check_transform_rows, fold3, mode3_product, unfold3
 
 RANK_TOL = 1e-8
 # relative margin below lam under which the prox screen declares a slice zero
@@ -41,24 +41,13 @@ def _stack_to_unfolding(stack, n1, n2):
     return np.reshape(np.moveaxis(stack, 0, 2), (n1 * n2, -1), order="F")
 
 
-def _check_transform(t, q):
-    n3 = t.shape[2]
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != n3:
-        raise ValueError(f"transform shape {q.shape} incompatible with n3={n3}")
-    return q
-
-
 def q_singular_values(t, q):
     """Per-slice singular values of t x_3 q as an (r, min(n1, n2)) array.
 
     Row i holds the descending singular values of the i-th transformed
     slice.
     """
-    n1, n2, _ = t.shape
-    q = _check_transform(t, q)
-    g3 = unfold3(t) @ q
-    return np.linalg.svd(_slice_stack(g3, n1, n2), compute_uv=False)
+    return np.linalg.svd(np.moveaxis(mode3_product(t, q), 2, 0), compute_uv=False)
 
 
 def tensor_q_rank(t, q, tol=RANK_TOL):
@@ -189,7 +178,7 @@ def prox_q_nuclear(t, q, lam):
     lam = 0 returns t itself (slice reconstruction is skipped entirely).
     """
     n1, n2, n3 = t.shape
-    q = _check_transform(t, q)
+    q = check_transform_rows(q, n3)
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:

@@ -4,7 +4,7 @@ Given observed entries Y on a mask, the solver splits the recovery as
 X + E = Y with E supported off the mask, and iterates
 
   1. refresh Q from the right singular vectors of Y - E + Z/mu
-     (adaptive mode only, every K-th iteration; fixed mode never refreshes)
+     (adaptive mode, cfg.q None, every K-th iteration; a given Q is kept)
   2. X  <- prox of (1/mu) * q_nuclear_norm at Y - E + Z/mu
   3. E  <- off-mask part of Y - X + Z/mu
   4. Z  <- Z + mu * (Y - X - E)
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .orth import EXTERNAL_Q_TOL, check_orthonormal, identity_q, right_singular_basis
-from .qnorm import _prox_unfolded, q_nuclear_norm
+from .orth import check_given_q, identity_q, right_singular_basis
+from .qnorm import _prox_unfolded
 from .tensor3 import fold3, unfold3, validate_tensor
 from .threads import solve_scope
 
@@ -33,10 +33,9 @@ class SolverConfig:
     mu_max: float = 1e10
     eps: float = 1e-8
     K: int = 1
-    r: int | None = None  # None means min(n1*n2, n3) at solve time
+    r: int | None = None  # None means min(n1*n2, n3), or the width of q, at solve time
     max_iters: int = 500
-    q_mode: str = "adaptive"  # "adaptive" or "fixed"
-    q_fixed: np.ndarray | None = None
+    q: np.ndarray | None = None  # None adapts Q to the data; else a column-orthonormal (n3, r) Q
 
     def validate(self):
         if not self.rho > 1:
@@ -51,10 +50,6 @@ class SolverConfig:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.q_mode not in ("adaptive", "fixed"):
-            raise ValueError(f"q_mode must be 'adaptive' or 'fixed', got {self.q_mode!r}")
-        if self.q_mode == "fixed" and self.q_fixed is None:
-            raise ValueError("q_mode 'fixed' requires q_fixed")
 
 
 @dataclass
@@ -110,17 +105,14 @@ def admm_complete(y, mask, cfg):
     if np.any(y3[~m3] != 0.0):
         raise ValueError("input has nonzero entries off the mask; project it first")
 
-    adaptive = cfg.q_mode == "adaptive"
+    adaptive = cfg.q is None
     if adaptive:
         r = rmax if cfg.r is None else cfg.r
         if not 1 <= r <= rmax:
             raise ValueError(f"need 1 <= r <= min(n1*n2, n3) = {rmax}, got r={r}")
         q = identity_q(n3, r)
     else:
-        q = check_orthonormal(cfg.q_fixed, tol=EXTERNAL_Q_TOL)
-        if q.shape[0] != n3:
-            raise ValueError(f"fixed transform has {q.shape[0]} rows, expected n3={n3}")
-        r = q.shape[1]
+        q = check_given_q(cfg.q, n3, cfg.r)
 
     x3 = np.zeros_like(y3)
     e3 = np.zeros_like(y3)
@@ -131,14 +123,15 @@ def admm_complete(y, mask, cfg):
     with solve_scope() as pool:
         for k in range(1, cfg.max_iters + 1):
             mu = _mu_at(cfg, k - 1)
-            t3 = y3 - e3 + z3 / mu
+            z3_mu = z3 / mu
+            t3 = y3 - e3 + z3_mu
             if adaptive and (k - 1) % cfg.K == 0:
                 q_new = right_singular_basis(t3, r)
                 proj_new = q_new @ q_new.T
                 report.q_drift.append(float(np.linalg.norm(proj_new - proj)))
                 q, proj = q_new, proj_new
             x3_new, objective = _prox_unfolded(t3, q, 1.0 / mu, n1, n2, pool=pool)
-            e3_new = np.where(m3, 0.0, y3 - x3_new + z3 / mu)
+            e3_new = np.where(m3, 0.0, y3 - x3_new + z3_mu)
             gap = y3 - x3_new - e3_new
             z3 = z3 + mu * gap
 
@@ -168,9 +161,4 @@ def admm_complete(y, mask, cfg):
 
 def fixed_q_complete(y, mask, q, cfg):
     """admm_complete with the transform pinned to q for every iteration."""
-    return admm_complete(y, mask, replace(cfg, q_mode="fixed", q_fixed=q))
-
-
-def objective_value(x, q):
-    """q-nuclear norm of an iterate, exposed for monitoring."""
-    return q_nuclear_norm(x, q)
+    return admm_complete(y, mask, replace(cfg, q=q))

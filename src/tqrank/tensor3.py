@@ -48,15 +48,21 @@ def fold3(m, dims):
     return np.reshape(m, (n1, n2, n3), order="F")
 
 
+def check_transform_rows(q, n3):
+    """q as a float64 matrix, after checking that it is 2-D with n3 rows."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != n3:
+        raise ValueError(f"transform shape {q.shape} does not have n3={n3} rows")
+    return q
+
+
 def mode3_product(t, q):
     """Mode-3 product: fold back ``unfold3(t) @ q``.
 
     ``q`` must have n3 rows; the result has q.shape[1] frontal slices.
     """
     n1, n2, n3 = t.shape
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != n3:
-        raise ValueError(f"transform rows {q.shape} incompatible with n3={n3}")
+    q = check_transform_rows(q, n3)
     return fold3(unfold3(t) @ q, (n1, n2, q.shape[1]))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from tqrank.bench import bernoulli_mask, synth_low_qrank
 from tqrank.cli import main
-from tqrank.orth import write_q
+from tqrank.orth import identity_q, make_transform, write_q
 from tqrank.tensor3 import (
     ObservationMask,
     project_omega,
@@ -113,6 +113,52 @@ def test_complete_rejects_skewed_q_file(tmp_path, capsys):
          "--r", "2"], capsys)
     assert code == 2
     assert "not orthonormal" in err
+
+
+@pytest.mark.parametrize("command", ["complete", "spectrum"])
+@pytest.mark.parametrize("q, expected", [
+    (np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), "not orthonormal"),
+    (np.eye(5), "does not have n3=4 rows"),
+    (np.eye(3), "does not have n3=4 rows"),
+], ids=["skewed", "five-rows", "three-rows"])
+def test_q_file_faults_rejected_by_both_commands(tmp_path, capsys, command, q, expected):
+    _, _, paths = write_instance(tmp_path, n=4)
+    qpath = str(tmp_path / "q.txt")
+    write_q(qpath, q)
+    with pytest.raises(ValueError, match=expected) as exc:
+        make_transform("file", 4, path=qpath)
+    argv = {"complete": ["--mask", paths["mask"], "--output", paths["out"]], "spectrum": []}
+    code, out, err = run_cli(
+        [command, "--input", paths["observed"], "--q-mode", "file", "--q-file", qpath]
+        + argv[command], capsys)
+    assert code == 2 and out == ""
+    assert err == f"tqrank {command}: error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("mode", ["identity", "dct", "random"])
+def test_complete_rejects_r_above_n3(tmp_path, capsys, mode):
+    _, _, paths = write_instance(tmp_path, n=5)
+    code, out, err = run_cli(
+        ["complete", "--input", paths["observed"], "--mask", paths["mask"],
+         "--output", paths["out"], "--q-mode", mode, "--r", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err == "tqrank complete: error: need 1 <= r <= n3 = 5, got r=100\n"
+
+
+def test_complete_rejects_r_not_matching_q_file(tmp_path, capsys):
+    _, _, paths = write_instance(tmp_path, n=5)
+    qpath = str(tmp_path / "q.txt")
+    write_q(qpath, identity_q(5, 2))
+    base = ["complete", "--input", paths["observed"], "--mask", paths["mask"],
+            "--output", paths["out"], "--q-mode", "file", "--q-file", qpath]
+    code, out, err = run_cli(base + ["--r", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("tqrank complete: error: r=4 does not match the 2 columns "
+                   "of the given transform\n")
+    # the file's width is the default, and an --r equal to it is accepted
+    for extra in ([], ["--r", "2"]):
+        code, out, _ = run_cli(base + extra + ["--max-iters", "3"], capsys)
+        assert code == 0 and out.startswith("converged=false iters=3")
 
 
 def test_complete_file_mode_requires_q_file(tmp_path, capsys):

@@ -9,6 +9,7 @@ from tqrank.orth import (
     format_q,
     identity_q,
     l21_of_unfolding,
+    make_transform,
     orthonormality_defect,
     pca_q,
     random_orthonormal,
@@ -200,3 +201,36 @@ def test_q_parser_rejects_malformed(tmp_path):
     path.write_text("q 2 1\n1 inf\n")
     with pytest.raises(FormatError, match="non-finite"):
         read_q(path)
+
+
+def test_make_transform_builds_each_mode(tmp_path):
+    assert np.array_equal(make_transform("identity", 5, 3), identity_q(5, 3))
+    assert np.array_equal(make_transform("dct", 5), dct_matrix(5))
+    assert np.array_equal(make_transform("dct", 5, 2), dct_matrix(5)[:, :2])
+    assert np.array_equal(make_transform("random", 5, 3, seed=7), random_orthonormal(5, 3, 7))
+    path = str(tmp_path / "q.txt")
+    q = random_orthonormal(5, 2, 1)
+    write_q(path, q)
+    assert np.array_equal(make_transform("file", 5, path=path), q)
+    assert np.array_equal(make_transform("file", 5, 2, path=path), q)
+    # a q file within the external tolerance is accepted as written
+    write_q(path, q * (1 + 1e-8))
+    assert np.array_equal(make_transform("file", 5, path=path), q * (1 + 1e-8))
+
+
+def test_make_transform_rejects_bad_widths_and_files(tmp_path):
+    for mode in ("identity", "dct", "random"):
+        for r in (0, 6):
+            with pytest.raises(ValueError, match=f"need 1 <= r <= n3 = 5, got r={r}"):
+                make_transform(mode, 5, r)
+    path = str(tmp_path / "q.txt")
+    write_q(path, random_orthonormal(5, 2, 1))
+    with pytest.raises(ValueError, match="r=4 does not match the 2 columns"):
+        make_transform("file", 5, 4, path=path)
+    with pytest.raises(ValueError, match=r"shape \(5, 2\) does not have n3=4 rows"):
+        make_transform("file", 4, path=path)
+    write_q(path, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        make_transform("file", 3, path=path)
+    with pytest.raises(ValueError, match="unknown transform mode"):
+        make_transform("adaptive", 5)

@@ -12,13 +12,11 @@ import tqrank.threads
 from oracles import matrix_complete_admm, prox_unfolded_unscreened
 from tqrank.bench import bernoulli_mask, psnr, synth_low_qrank
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
-from tqrank.qnorm import q_nuclear_norm
 from tqrank.solver import (
     SolverConfig,
     _mu_at,
     admm_complete,
     fixed_q_complete,
-    objective_value,
 )
 from tqrank.tensor3 import (
     ObservationMask,
@@ -47,11 +45,16 @@ def test_config_validation():
         SolverConfig(K=0).validate()
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0).validate()
-    with pytest.raises(ValueError):
-        SolverConfig(q_mode="fixed").validate()
-    with pytest.raises(ValueError):
-        SolverConfig(q_mode="other").validate()
     SolverConfig().validate()
+    # a given q is checked when the solve knows n3
+    _, _, mask, y = masked_instance(4, 1, 0.7, 2)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        admm_complete(y, mask, SolverConfig(q=np.ones((4, 2))))
+    for rows in (3, 5):
+        with pytest.raises(ValueError, match="does not have n3=4 rows"):
+            admm_complete(y, mask, SolverConfig(q=np.eye(rows)))
+    with pytest.raises(ValueError, match="r=3 does not match the 4 columns"):
+        admm_complete(y, mask, SolverConfig(q=np.eye(4), r=3))
 
 
 def test_rejects_inconsistent_input():
@@ -62,6 +65,22 @@ def test_rejects_inconsistent_input():
         admm_complete(y, mask, SolverConfig(r=7))
     with pytest.raises(ValueError, match="mask dims"):
         admm_complete(np.zeros((6, 6, 5)), mask, SolverConfig())
+
+
+def test_given_q_width_must_match_r():
+    _, _, mask, y = masked_instance(5, 1, 0.7, 3)
+    with pytest.raises(ValueError, match="r=4 does not match the 2 columns"):
+        admm_complete(y, mask, SolverConfig(r=4, q=identity_q(5, 2)))
+    _, report = admm_complete(y, mask, SolverConfig(r=2, q=identity_q(5, 2), max_iters=3))
+    assert np.array_equal(report.q_final, identity_q(5, 2))
+
+
+def test_given_q_is_kept_for_the_whole_solve():
+    _, _, mask, y = masked_instance(5, 1, 0.7, 3)
+    q = random_orthonormal(5, 5, 4)
+    _, report = admm_complete(y, mask, SolverConfig(q=q, max_iters=5))
+    assert report.iterations == 5 and report.q_drift == []
+    assert np.array_equal(report.q_final, q)
 
 
 def test_full_mask_recovers_input():
@@ -131,8 +150,7 @@ def assert_same_solve(got, want):
 
 
 def n20_config(q_mode):
-    return SolverConfig() if q_mode == "adaptive" else \
-        SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))
+    return SolverConfig() if q_mode == "adaptive" else SolverConfig(q=dct_matrix(20))
 
 
 @pytest.mark.parametrize("q_mode", ["adaptive", "dct"])
@@ -197,13 +215,6 @@ def test_fixed_q_saturated_mu_combined_residual_monotone():
     assert np.all(np.diff(combined) <= 1e-8)
     # and the residual still vanishes overall
     assert report.res_feas_fro[-1] <= 1e-2 * report.res_feas_fro[0]
-
-
-def test_objective_value_delegates():
-    t = np.random.default_rng(8).standard_normal((3, 3, 4))
-    q = random_orthonormal(4, 4, 9)
-    assert objective_value(np.zeros((2, 2, 2)), np.eye(2)) == 0.0
-    assert objective_value(t, q) == q_nuclear_norm(t, q)
 
 
 def test_objective_nonincreasing_after_mu_saturates():
@@ -416,7 +427,7 @@ digest = hashlib.sha256()
 y_true, _ = synth_low_qrank(20, 20, 20, 3, 21)
 mask = bernoulli_mask(20, 20, 20, 0.5, 1021)
 y = project_omega(y_true, mask)
-for cfg in (SolverConfig(), SolverConfig(q_mode="fixed", q_fixed=dct_matrix(20))):
+for cfg in (SolverConfig(), SolverConfig(q=dct_matrix(20))):
     x, report = admm_complete(y, mask, cfg)
     digest.update(x.tobytes())
     digest.update(report.q_final.tobytes())
