@@ -33,14 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--rho", type=float, default=1.1, help="penalty growth factor (default: %(default)s)")
-    sub.add_argument("--mu0", type=float, default=1e-4, help="initial penalty (default: %(default)s)")
-    sub.add_argument("--mu-max", type=float, default=1e10, help="penalty cap (default: %(default)s)")
-    sub.add_argument("--eps", type=float, default=1e-8, help="convergence tolerance (default: %(default)s)")
-    sub.add_argument("--K", type=int, default=1, help="transform refresh period (default: %(default)s)")
-    sub.add_argument("--r", type=int, default=None,
+    d = SolverConfig()
+    sub.add_argument("--rho", type=float, default=d.rho, help="penalty growth factor (default: %(default)s)")
+    sub.add_argument("--mu0", type=float, default=d.mu0, help="initial penalty (default: %(default)s)")
+    sub.add_argument("--mu-max", type=float, default=d.mu_max, help="penalty cap (default: %(default)s)")
+    sub.add_argument("--eps", type=float, default=d.eps, help="convergence tolerance (default: %(default)s)")
+    sub.add_argument("--K", type=int, default=d.K, help="transform refresh period (default: %(default)s)")
+    sub.add_argument("--r", type=int, default=d.r,
                      help="transform column count (default: min(n1*n2, n3))")
-    sub.add_argument("--max-iters", type=int, default=500, help="iteration cap (default: %(default)s)")
+    sub.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap (default: %(default)s)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
 
 

@@ -9,8 +9,7 @@ spectrum should be made through the projector Q @ Q.T, never column-wise.
 
 import numpy as np
 
-from .tensor3 import (FormatError, check_transform_rows, mode3_product, parse_floats, unfold3,
-                      write_text_atomic)
+from .tensor3 import check_transform_rows, mode3_product, read_q, unfold3
 
 # constructors must meet this; externally supplied matrices get looser checks
 ORTHONORMALITY_TOL = 1e-10
@@ -131,43 +130,3 @@ def make_transform(mode, n3, r=None, seed=0, path=None):
 def l21_of_unfolding(t, q):
     """Sum of column 2-norms of unfold3(t) @ q."""
     return float(np.linalg.norm(unfold3(mode3_product(t, q)), axis=0).sum())
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-def format_q(q):
-    """Serialize a transform in the ``q`` format (column-major values)."""
-    q = np.asarray(q, dtype=float)
-    n, r = q.shape
-    lines = [f"q {n} {r}"]
-    flat = np.ravel(q, order="F")
-    for start in range(0, flat.size, n):
-        lines.append(" ".join(repr(float(v)) for v in flat[start:start + n]))
-    return "\n".join(lines) + "\n"
-
-
-def write_q(path, q):
-    write_text_atomic(path, format_q(q))
-
-
-def read_q(path):
-    """Parse a ``q`` file into an (n, r) matrix.
-
-    Orthonormality is checked by ``check_given_q``; only shape and
-    finiteness are validated here.
-    """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].split():
-        raise FormatError("line 1: missing 'q' header")
-    header = lines[0].split()
-    if header[0] != "q" or len(header) != 3:
-        raise FormatError("line 1: expected header 'q n r'")
-    try:
-        n, r = int(header[1]), int(header[2])
-    except ValueError:
-        raise FormatError("line 1: n and r must be integers") from None
-    if n <= 0 or not 1 <= r <= n:
-        raise FormatError(f"line 1: need n >= 1 and 1 <= r <= n, got n={n}, r={r}")
-    return parse_floats(lines, n * r).reshape(n, r, order="F")

@@ -1,4 +1,4 @@
-"""Dense 3-order tensors, observation masks, and their text file formats.
+"""Dense 3-order tensors, observation masks, and the t3/m3/q text file formats.
 
 A tensor is a float64 ndarray of shape (n1, n2, n3).  The k-th frontal
 slice is ``t[:, :, k]``.  The mode-3 unfolding is the (n1*n2, n3) matrix
@@ -9,7 +9,6 @@ Index triples (i, j, k) in mask files and error messages are 1-based.
 """
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +79,17 @@ def inf_norm_diff(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def _mark_index(values, i, j, k, where="", error=ValueError):
+    """Set the 1-based (i, j, k) of a bool array after checking that it is
+    in range and not yet set; errors are ``error`` prefixed by ``where``."""
+    n1, n2, n3 = values.shape
+    if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
+        raise error(f"{where}index ({i},{j},{k}) out of range for dims {values.shape}")
+    if values[i - 1, j - 1, k - 1]:
+        raise error(f"{where}duplicate index ({i},{j},{k})")
+    values[i - 1, j - 1, k - 1] = True
+
+
 @dataclass(frozen=True)
 class ObservationMask:
     """Boolean observation pattern over an (n1, n2, n3) grid.
@@ -121,14 +131,9 @@ class ObservationMask:
 
         Rejects out-of-range indices and duplicates; input order is free.
         """
-        n1, n2, n3 = dims
         values = np.zeros(dims, dtype=bool)
         for (i, j, k) in triples:
-            if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
-                raise ValueError(f"index ({i},{j},{k}) out of range for dims {tuple(dims)}")
-            if values[i - 1, j - 1, k - 1]:
-                raise ValueError(f"duplicate index ({i},{j},{k})")
-            values[i - 1, j - 1, k - 1] = True
+            _mark_index(values, i, j, k)
         return cls(values)
 
     @classmethod
@@ -153,26 +158,18 @@ def project_omega_complement(t, mask):
 
 
 # ---------------------------------------------------------------------------
-# text formats
-
-def _umask():
-    # the process umask can only be read by setting it, so set it back at once
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
+# text formats: a tagged header line, then whitespace-separated values
 
 def write_text_atomic(path, text):
     """Write ``text`` to ``path`` via a temp file + rename in one step.
 
-    The file gets the mode a plain ``open(path, "w")`` would give it,
-    0666 less the umask, not the 0600 of the temp file.
+    The temp file is created by ``open`` itself, so it gets the mode a
+    plain ``open(path, "w")`` would give it: 0666 less the umask.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    handle = open(tmp, "x")  # "x" never truncates a file that another writer made
     try:
-        os.fchmod(fd, 0o666 & ~_umask())
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -181,14 +178,32 @@ def write_text_atomic(path, text):
         raise
 
 
-def _positive_int(token, what, line_no):
+def _parse_int(token, what, line_no, least=1):
     try:
         value = int(token)
     except ValueError:
         raise FormatError(f"line {line_no}: {what} is not an integer: {token!r}") from None
-    if value <= 0:
-        raise FormatError(f"line {line_no}: {what} must be positive, got {value}")
+    if value < least:
+        raise FormatError(f"line {line_no}: {what} must be at least {least}, got {value}")
     return value
+
+
+def _read_text(path, usage, sizes):
+    """The lines of the file at ``path`` and its header's leading positive integers.
+
+    The header line must read like ``usage``, a tag then one name per
+    field (e.g. "m3 n1 n2 n3 count"); its first ``sizes`` fields must be
+    positive integers, and the caller parses any fields after them.
+    """
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    tag, *names = usage.split()
+    header = lines[0].split() if lines else []
+    if not header:
+        raise FormatError(f"line 1: missing {tag!r} header")
+    if header[0] != tag or len(header) != len(names) + 1:
+        raise FormatError(f"line 1: expected header {usage!r}")
+    return lines, [_parse_int(tok, name, 1) for tok, name in zip(header[1:sizes + 1], names)]
 
 
 def parse_floats(lines, expected):
@@ -212,15 +227,19 @@ def parse_floats(lines, expected):
     return values
 
 
+def _format_values(header, flat, width):
+    """``header``, then the values of ``flat`` ``width`` to a line at full repr precision."""
+    lines = [header]
+    for start in range(0, flat.size, width):
+        lines.append(" ".join(repr(float(v)) for v in flat[start:start + width]))
+    return "\n".join(lines) + "\n"
+
+
 def format_tensor(t):
     """Serialize a tensor in the ``t3`` format (one slice column per line)."""
     t = validate_tensor(t)
     n1, n2, n3 = t.shape
-    flat = np.ravel(t, order="F")
-    lines = [f"t3 {n1} {n2} {n3}"]
-    for start in range(0, flat.size, n1):
-        lines.append(" ".join(repr(float(v)) for v in flat[start:start + n1]))
-    return "\n".join(lines) + "\n"
+    return _format_values(f"t3 {n1} {n2} {n3}", np.ravel(t, order="F"), n1)
 
 
 def write_tensor(path, t):
@@ -229,17 +248,8 @@ def write_tensor(path, t):
 
 def read_tensor(path):
     """Parse a ``t3`` file into an (n1, n2, n3) tensor."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].split():
-        raise FormatError("line 1: missing 't3' header")
-    header = lines[0].split()
-    if header[0] != "t3" or len(header) != 4:
-        raise FormatError("line 1: expected header 't3 n1 n2 n3'")
-    n1, n2, n3 = (_positive_int(tok, name, 1)
-                  for tok, name in zip(header[1:], ("n1", "n2", "n3")))
-    values = parse_floats(lines, n1 * n2 * n3)
-    return fold3(values.reshape(n1 * n2, n3, order="F"), (n1, n2, n3))
+    lines, (n1, n2, n3) = _read_text(path, "t3 n1 n2 n3", 3)
+    return parse_floats(lines, n1 * n2 * n3).reshape((n1, n2, n3), order="F")
 
 
 def format_mask(mask):
@@ -256,22 +266,9 @@ def write_mask(path, mask):
 
 def read_mask(path):
     """Parse an ``m3`` file into an :class:`ObservationMask`."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].split():
-        raise FormatError("line 1: missing 'm3' header")
-    header = lines[0].split()
-    if header[0] != "m3" or len(header) != 5:
-        raise FormatError("line 1: expected header 'm3 n1 n2 n3 count'")
-    n1, n2, n3 = (_positive_int(tok, name, 1)
-                  for tok, name in zip(header[1:4], ("n1", "n2", "n3")))
-    try:
-        count = int(header[4])
-    except ValueError:
-        raise FormatError(f"line 1: count is not an integer: {header[4]!r}") from None
-    if count < 0:
-        raise FormatError(f"line 1: count must be nonnegative, got {count}")
-    values = np.zeros((n1, n2, n3), dtype=bool)
+    lines, dims = _read_text(path, "m3 n1 n2 n3 count", 3)
+    count = _parse_int(lines[0].split()[4], "count", 1, least=0)
+    values = np.zeros(dims, dtype=bool)
     seen = 0
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split()
@@ -281,15 +278,33 @@ def read_mask(path):
             raise FormatError(f"line {line_no}: more than {count} index triples")
         if len(fields) != 3:
             raise FormatError(f"line {line_no}: expected 'i j k', got {line!r}")
-        i, j, k = (_positive_int(tok, name, line_no)
+        i, j, k = (_parse_int(tok, name, line_no)
                    for tok, name in zip(fields, ("i", "j", "k")))
-        if not (i <= n1 and j <= n2 and k <= n3):
-            raise FormatError(
-                f"line {line_no}: index ({i},{j},{k}) out of range for dims ({n1},{n2},{n3})")
-        if values[i - 1, j - 1, k - 1]:
-            raise FormatError(f"line {line_no}: duplicate index ({i},{j},{k})")
-        values[i - 1, j - 1, k - 1] = True
+        _mark_index(values, i, j, k, f"line {line_no}: ", FormatError)
         seen += 1
     if seen != count:
         raise FormatError(f"expected {count} index triples, found {seen}")
     return ObservationMask(values)
+
+
+def format_q(q):
+    """Serialize a transform in the ``q`` format (column-major values)."""
+    q = np.asarray(q, dtype=float)
+    n, r = q.shape
+    return _format_values(f"q {n} {r}", np.ravel(q, order="F"), n)
+
+
+def write_q(path, q):
+    write_text_atomic(path, format_q(q))
+
+
+def read_q(path):
+    """Parse a ``q`` file into an (n, r) matrix.
+
+    Orthonormality is checked by ``orth.check_given_q``; only shape and
+    finiteness are validated here.
+    """
+    lines, (n, r) = _read_text(path, "q n r", 2)
+    if r > n:
+        raise FormatError(f"line 1: need n >= 1 and 1 <= r <= n, got n={n}, r={r}")
+    return parse_floats(lines, n * r).reshape(n, r, order="F")

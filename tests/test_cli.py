@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from tqrank.bench import bernoulli_mask, synth_low_qrank
-from tqrank.cli import main
-from tqrank.orth import identity_q, make_transform, write_q
+from tqrank.cli import _solver_config, build_parser, main
+from tqrank.orth import identity_q, make_transform
+from tqrank.solver import SolverConfig
 from tqrank.tensor3 import (
     ObservationMask,
     project_omega,
     read_tensor,
     write_mask,
+    write_q,
     write_tensor,
 )
 
@@ -237,6 +239,14 @@ def test_grid_two_by_two(tmp_path, capsys):
     assert code == 0
     lines = open(out_csv).read().strip().split("\n")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--input", "y.t3", "--mask", "m.m3", "--output", "x.t3"],
+    ["grid", "--n", "4", "--p-list", "0.5", "--r-list", "1", "--out", "g.csv"],
+])
+def test_solver_flags_default_to_solver_config(argv):
+    assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
 
 
 def test_grid_rejects_bad_lists(tmp_path, capsys):

@@ -6,17 +6,23 @@ from tqrank.orth import (
     check_orthonormal,
     dct_matrix,
     fix_signs,
-    format_q,
     identity_q,
     l21_of_unfolding,
     make_transform,
     orthonormality_defect,
     pca_q,
     random_orthonormal,
+)
+from tqrank.tensor3 import (
+    FormatError,
+    fold3,
+    format_q,
+    frobenius,
+    mode3_product,
     read_q,
+    unfold3,
     write_q,
 )
-from tqrank.tensor3 import FormatError, fold3, frobenius, mode3_product, unfold3
 
 
 def assert_valid_transform(q):

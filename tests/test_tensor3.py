@@ -3,13 +3,17 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from tqrank.orth import write_q
+from tqrank.orth import random_orthonormal
 from tqrank.tensor3 import (
     FormatError,
     ObservationMask,
     fold3,
     format_mask,
+    format_q,
     format_tensor,
     frobenius,
     inf_norm_diff,
@@ -17,10 +21,12 @@ from tqrank.tensor3 import (
     project_omega,
     project_omega_complement,
     read_mask,
+    read_q,
     read_tensor,
     unfold3,
     validate_tensor,
     write_mask,
+    write_q,
     write_tensor,
 )
 
@@ -263,3 +269,80 @@ def test_writers_give_files_the_umask_mode(tmp_path):
         os.umask(old)
     for name in ("t.t3", "m.m3", "q.q"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
+
+def test_writers_never_read_the_process_umask(tmp_path, monkeypatch):
+    # reading the umask means setting it, which races with writes on other threads
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    t = random_tensor((2, 2, 2), 1)
+    mask = ObservationMask.from_indices((2, 2, 2), [(1, 2, 1)])
+    write_tensor(tmp_path / "t.t3", t)
+    write_mask(tmp_path / "m.m3", mask)
+    write_q(tmp_path / "q.q", np.eye(2))
+    assert np.array_equal(read_tensor(tmp_path / "t.t3"), t)
+    assert np.array_equal(read_mask(tmp_path / "m.m3").values, mask.values)
+    assert np.array_equal(read_q(tmp_path / "q.q"), np.eye(2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.m3", "q.q", "t.t3"]
+
+
+# exact bytes of each format, pinned so a refactor of the writers cannot drift
+def test_tensor_format_golden_bytes(tmp_path):
+    t = np.array([1.0, -0.0, 0.1, 1e308, 5e-324, -1 / 3, 2.5e-310, -1e308]).reshape(2, 2, 2, order="F")
+    write_tensor(tmp_path / "t.t3", t)
+    assert (tmp_path / "t.t3").read_bytes() == (
+        b"t3 2 2 2\n1.0 -0.0\n0.1 1e+308\n5e-324 -0.3333333333333333\n2.5e-310 -1e+308\n")
+
+
+def test_mask_format_golden_bytes(tmp_path):
+    mask = ObservationMask.from_indices((2, 1, 3), [(2, 1, 3), (1, 1, 1), (2, 1, 1)])
+    write_mask(tmp_path / "m.m3", mask)
+    assert (tmp_path / "m.m3").read_bytes() == b"m3 2 1 3 3\n1 1 1\n2 1 1\n2 1 3\n"
+
+
+def test_q_format_golden_bytes(tmp_path):
+    write_q(tmp_path / "q.q", np.array([[0.6, -0.8], [0.8, 0.6], [0.0, -0.0]]))
+    assert (tmp_path / "q.q").read_bytes() == b"q 3 2\n0.6 0.8 0.0\n-0.8 0.6 -0.0\n"
+
+
+# writer -> reader -> writer must reproduce the bytes and the values
+FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SHAPES = array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=4)
+ROUND_TRIP = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def round_trip(tmp_path, write, read, value):
+    write(tmp_path / "a", value)
+    back = read(tmp_path / "a")
+    write(tmp_path / "b", back)
+    assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
+    return back
+
+
+@ROUND_TRIP
+@given(t=arrays(float, SHAPES, elements=FINITE))
+@example(t=np.full((1, 1, 1), -0.0))
+def test_tensor_format_round_trip_property(tmp_path, t):
+    back = round_trip(tmp_path, write_tensor, read_tensor, t)
+    assert np.array_equal(back, t) and np.array_equal(np.signbit(back), np.signbit(t))
+
+
+@ROUND_TRIP
+@given(values=SHAPES.flatmap(lambda shape: st.one_of(
+    st.just(np.zeros(shape, dtype=bool)), st.just(np.ones(shape, dtype=bool)), arrays(bool, shape))))
+def test_mask_format_round_trip_property(tmp_path, values):
+    back = round_trip(tmp_path, write_mask, read_mask, ObservationMask(values))
+    assert np.array_equal(back.values, values)
+
+
+@ROUND_TRIP
+@given(q=st.integers(1, 5).flatmap(lambda n: st.integers(1, n).flatmap(
+    lambda r: arrays(float, (n, r), elements=FINITE))))
+@example(q=random_orthonormal(5, 2, 1))
+@example(q=random_orthonormal(4, 4, 2))
+def test_q_format_round_trip_property(tmp_path, q):
+    back = round_trip(tmp_path, write_q, read_q, q)
+    assert np.array_equal(back, q) and np.array_equal(np.signbit(back), np.signbit(q))
