@@ -136,10 +136,12 @@ def admm_complete(y, mask, cfg):
             z3 = z3 + mu * gap
 
             report.res_feas.append(float(np.max(np.abs(gap))))
-            report.res_x.append(float(np.max(np.abs(x3_new - x3))))
-            report.res_e.append(float(np.max(np.abs(e3_new - e3))))
             report.res_feas_fro.append(float(np.linalg.norm(gap)))
-            report.res_e_fro.append(float(np.linalg.norm(e3_new - e3)))
+            report.res_x.append(float(np.max(np.abs(x3_new - x3))))
+            step_e = e3_new - e3
+            report.res_e.append(float(np.max(np.abs(step_e))))
+            report.res_e_fro.append(float(np.linalg.norm(step_e)))
+            del step_e  # kept to the next iteration, it would add an array to the prox peak
             report.objectives.append(objective)
             x3, e3 = x3_new, e3_new
 

@@ -8,6 +8,7 @@ folding and unfolding are plain Fortran-order reshapes of the same data.
 Index triples (i, j, k) in mask files and error messages are 1-based.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -123,7 +124,7 @@ class ObservationMask:
 
     def indices(self):
         """Observed positions as sorted, 1-based (i, j, k) triples."""
-        return [tuple(int(v) + 1 for v in row) for row in np.argwhere(self.values)]
+        return [tuple(row) for row in (np.argwhere(self.values) + 1).tolist()]
 
     @classmethod
     def from_indices(cls, dims, triples):
@@ -218,7 +219,7 @@ def parse_floats(lines, expected):
                 value = float(token)
             except ValueError:
                 raise FormatError(f"line {line_no}: bad float {token!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise FormatError(f"line {line_no}: non-finite value {token!r}")
             values[filled] = value
             filled += 1
@@ -231,7 +232,7 @@ def _format_values(header, flat, width):
     """``header``, then the values of ``flat`` ``width`` to a line at full repr precision."""
     lines = [header]
     for start in range(0, flat.size, width):
-        lines.append(" ".join(repr(float(v)) for v in flat[start:start + width]))
+        lines.append(" ".join(map(repr, flat[start:start + width].tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -169,13 +169,18 @@ def screen_case(n1, n2, n3, r, seed):
     return t3, q, float(sigma[3, 0])
 
 
+def screen_lam(where, sigma):
+    """lam for a screen_case: "none" keeps every slice, "all" drops them all."""
+    return {"none": 1e-6, "part": 1.0, "below": np.nextafter(sigma, 0.0), "at": sigma,
+            "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
+
+
 @pytest.mark.parametrize("n1,n2", [(5, 5), (4, 7), (7, 3)])
 @pytest.mark.parametrize("r", [4, 6], ids=["thin", "square"])
 @pytest.mark.parametrize("where", ["none", "part", "below", "at", "above", "all"])
 def test_screened_prox_bit_identical_to_unscreened(n1, n2, r, where):
     t3, q, sigma = screen_case(n1, n2, 6, r, seed=n1 * 10 + n2)
-    lam = {"none": 1e-6, "part": 1.0, "below": np.nextafter(sigma, 0.0), "at": sigma,
-           "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
+    lam = screen_lam(where, sigma)
     stack = _slice_stack(t3 @ q, n1, n2)
     live = _live_slices(stack, lam)
     fro = np.linalg.norm(stack, axis=(1, 2))
@@ -220,8 +225,7 @@ def test_pooled_prox_bit_identical_to_unscreened(pools, where):
     for n1, n2 in ((5, 5), (4, 7), (7, 3)):
         for r in (4, 6):
             t3, q, sigma = screen_case(n1, n2, 6, r, seed=n1 * 10 + n2)
-            lam = {"none": 1e-6, "part": 1.0, "below": np.nextafter(sigma, 0.0), "at": sigma,
-                   "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
+            lam = screen_lam(where, sigma)
             want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, n1, n2)
             for pool in pools:
                 x3, objective = _prox_unfolded(t3, q, lam, n1, n2, pool=pool)
@@ -242,6 +246,47 @@ def test_pooled_prox_bit_identical_on_a_stack_of_20_slices(monkeypatch, pools, b
         for pool in [None, *pools]:
             x3, objective = _prox_unfolded(t3, q, lam, 20, 20, pool=pool)
             assert np.array_equal(x3, want[0]) and objective == want[1]
+
+
+class SpyPool(SlicePool):
+    """A SlicePool that records the items of every run."""
+
+    def __init__(self, cores):
+        super().__init__(cores)
+        self.items = []
+
+    def run(self, fn, items):
+        self.items.append(items)
+        super().run(fn, items)
+
+
+@pytest.mark.parametrize("where", ["none", "part", "below", "at", "above", "all"])
+def test_prox_screens_once_and_pools_only_the_live_slices(monkeypatch, where):
+    screened = []
+
+    def spy(stack, lam):
+        live = _live_slices(stack, lam)
+        screened.append(live)
+        return live
+
+    monkeypatch.setattr(tqrank.qnorm, "_live_slices", spy)
+    pool = SpyPool(2)
+    try:
+        for n1, n2 in ((5, 5), (4, 7), (7, 3)):
+            t3, q, sigma = screen_case(n1, n2, 6, 6, seed=n1 * 10 + n2)
+            lam = screen_lam(where, sigma)
+            stack = _slice_stack(t3 @ q, n1, n2)
+            screened.clear()
+            pool.items.clear()
+            _prox_unfolded(t3, q, lam, n1, n2, pool=pool)
+            assert len(pool.items) == 1
+            assert np.array_equal(pool.items[0], np.flatnonzero(_live_slices(stack, lam)))
+            assert len(screened) == 1
+            screened.clear()
+            _prox_unfolded(t3, q, lam, n1, n2)
+            assert len(screened) == 1
+    finally:
+        pool.close()
 
 
 def test_slice_pool_runs_contiguous_chunks_and_reraises():

@@ -346,3 +346,31 @@ def test_mask_format_round_trip_property(tmp_path, values):
 def test_q_format_round_trip_property(tmp_path, q):
     back = round_trip(tmp_path, write_q, read_q, q)
     assert np.array_equal(back, q) and np.array_equal(np.signbit(back), np.signbit(q))
+
+
+@settings(deadline=None)
+@given(t=arrays(float, SHAPES, elements=FINITE))
+def test_unfold3_fold3_round_trip_property(t):
+    m = unfold3(t)
+    assert m.shape == (t.shape[0] * t.shape[1], t.shape[2])
+    back = fold3(m, t.shape)
+    assert np.array_equal(back, t) and np.array_equal(np.signbit(back), np.signbit(t))
+    assert np.array_equal(unfold3(back), m)
+
+
+@settings(deadline=None)
+@given(t=arrays(float, SHAPES, elements=FINITE))
+def test_unfold3_entry_lands_in_row_i_plus_j_n1_property(t):
+    i, j, k = np.indices(t.shape)
+    assert np.array_equal(unfold3(t)[i + j * t.shape[0], k], t)
+
+
+@settings(deadline=None)
+@given(dims=SHAPES, shape=st.tuples(st.integers(0, 20), st.integers(0, 5)))
+def test_fold3_rejects_a_shape_that_does_not_fit_property(dims, shape):
+    n1, n2, n3 = dims
+    if shape == (n1 * n2, n3):
+        assert fold3(np.zeros(shape), dims).shape == dims
+    else:
+        with pytest.raises(ValueError, match="cannot fold shape"):
+            fold3(np.zeros(shape), dims)
