@@ -92,12 +92,13 @@ def run_grid(n, p_values, r_values, trials, cfg, seed, on_cell=None):
         raise ValueError("p_values and r_values must be non-empty")
     if any(not 0 < p <= 1 for p in p_values):
         raise ValueError(f"sampling rates must lie in (0, 1]: {p_values}")
-    if any(not 1 <= r0 <= min(n * n, n) for r0 in r_values):
-        raise ValueError(f"generator ranks must lie in [1, {min(n * n, n)}]: {r_values}")
+    if any(not 1 <= r0 <= n for r0 in r_values):
+        raise ValueError(f"generator ranks must lie in [1, {n}]: {r_values}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    cfg.validate()
 
     means = np.zeros((len(p_values), len(r_values)))
     stds = np.zeros_like(means)

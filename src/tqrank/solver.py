@@ -1,18 +1,20 @@
 """ADMM completion solver with fixed or adaptively refreshed transforms.
 
 Given observed entries Y on a mask, the solver splits the recovery as
-X + E = Y with E supported off the mask, and iterates
+X + E = Y with E supported off the mask.  The multiplier Z starts at 0
+and only gains support on the mask, so E is implicit: it is -X off the
+mask and 0 on it.  With T = Y + Z/mu on the mask and T = X off it, the
+loop iterates
 
-  1. refresh Q from the right singular vectors of Y - E + Z/mu
+  1. refresh Q from the right singular vectors of T
      (adaptive mode, cfg.q None, every K-th iteration; a given Q is kept)
-  2. X  <- prox of (1/mu) * q_nuclear_norm at Y - E + Z/mu
-  3. E  <- off-mask part of Y - X + Z/mu
-  4. Z  <- Z + mu * (Y - X - E)
-  5. mu <- min(rho * mu, mu_max)
+  2. X  <- prox of (1/mu) * q_nuclear_norm at T
+  3. Z  <- Z + mu * (Y - X) on the mask
+  4. mu <- min(rho * mu, mu_max)
 
-starting from X = E = Z = 0 and Q = identity columns.  Convergence
-requires all three infinity-norm residuals (feasibility, X step, E step)
-to fall below eps in the same iteration.
+starting from X = Z = 0 and Q = identity columns.  Convergence requires
+all three infinity-norm residuals (feasibility, X step, E step) to fall
+below eps in the same iteration.
 """
 
 import math
@@ -40,8 +42,8 @@ class SolverConfig:
     def validate(self):
         if not self.rho > 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.mu0 <= self.mu_max:
-            raise ValueError(f"need 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}")
+        if not 0 < self.mu0 <= self.mu_max < math.inf:
+            raise ValueError(f"need 0 < mu0 <= mu_max < inf, got mu0={self.mu0}, mu_max={self.mu_max}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.K < 1:
@@ -61,8 +63,8 @@ class SolverReport:
     refresh (empty for fixed transforms).  objectives traces the
     q-nuclear norm of each iterate under that iteration's transform;
     res_feas_fro and res_e_fro mirror res_feas and res_e in the
-    Frobenius norm.  e_omega_max is the largest on-mask magnitude of the
-    final E (zero by construction).
+    Frobenius norm.  E is implicit (-X off the mask, 0 on it), so
+    e_omega_max, its largest on-mask magnitude, is 0.0 by construction.
     """
 
     iterations: int = 0
@@ -101,7 +103,7 @@ def admm_complete(y, mask, cfg):
     rmax = min(n1 * n2, n3)
 
     y3 = unfold3(y)
-    m3 = np.reshape(mask.values, (n1 * n2, n3), order="F")
+    m3 = np.ascontiguousarray(unfold3(mask.values))  # C like x3: mixed-order products are slow
     if np.any(y3[~m3] != 0.0):
         raise ValueError("input has nonzero entries off the mask; project it first")
 
@@ -115,35 +117,33 @@ def admm_complete(y, mask, cfg):
         q = check_given_q(cfg.q, n3, cfg.r)
 
     x3 = np.zeros_like(y3)
-    e3 = np.zeros_like(y3)
-    z3 = np.zeros_like(y3)
+    z3 = np.zeros_like(y3)  # zero off the mask throughout
     proj = q @ q.T
 
     report = SolverReport()
     with solve_scope() as pool:
         for k in range(1, cfg.max_iters + 1):
             mu = _mu_at(cfg, k - 1)
-            z3_mu = z3 / mu
-            t3 = y3 - e3 + z3_mu
+            t3 = y3 + z3 / mu  # F order like y3 in the first iteration, then C like z3
+            t3 += x3 * ~m3  # in place, keeping that order, which t3 @ q rounds by
             if adaptive and (k - 1) % cfg.K == 0:
                 q_new = right_singular_basis(t3, r)
                 proj_new = q_new @ q_new.T
                 report.q_drift.append(float(np.linalg.norm(proj_new - proj)))
                 q, proj = q_new, proj_new
             x3_new, objective = _prox_unfolded(t3, q, 1.0 / mu, n1, n2, pool=pool)
-            e3_new = np.where(m3, 0.0, y3 - x3_new + z3_mu)
-            gap = y3 - x3_new - e3_new
-            z3 = z3 + mu * gap
-
+            gap = (y3 - x3_new) * m3
+            z3 = z3 + mu * gap  # not in place: z3 takes gap's C order
             report.res_feas.append(float(np.max(np.abs(gap))))
             report.res_feas_fro.append(float(np.linalg.norm(gap)))
-            report.res_x.append(float(np.max(np.abs(x3_new - x3))))
-            step_e = e3_new - e3
-            report.res_e.append(float(np.max(np.abs(step_e))))
-            report.res_e_fro.append(float(np.linalg.norm(step_e)))
-            del step_e  # kept to the next iteration, it would add an array to the prox peak
+            step = x3_new - x3
+            report.res_x.append(float(np.max(np.abs(step))))
+            step *= ~m3  # now the E step, up to sign
+            report.res_e.append(float(np.max(np.abs(step))))
+            report.res_e_fro.append(float(np.linalg.norm(step)))
+            del gap, step  # kept to the next iteration, they would add two arrays to the prox peak
             report.objectives.append(objective)
-            x3, e3 = x3_new, e3_new
+            x3 = x3_new
 
             for name in ("res_feas", "res_x", "res_e"):
                 value = getattr(report, name)[-1]
@@ -156,7 +156,6 @@ def admm_complete(y, mask, cfg):
 
     report.iterations = len(report.res_feas)
     report.mu_final = _mu_at(cfg, report.iterations)
-    report.e_omega_max = float(np.max(np.abs(e3[m3]))) if m3.any() else 0.0
     report.q_final = q
     return fold3(x3, (n1, n2, n3)), report
 

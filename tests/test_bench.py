@@ -154,3 +154,9 @@ def test_run_grid_validation():
         run_grid(4, [0.5], [5], 1, cfg, seed=0)
     with pytest.raises(ValueError):
         run_grid(4, [0.5], [1], 0, cfg, seed=0)
+    # an invalid config fails before the first trial instead of in every one
+    trials = []
+    for bad in (SolverConfig(rho=1.0), SolverConfig(mu_max=float("inf")), SolverConfig(K=0)):
+        with pytest.raises(ValueError):
+            run_grid(4, [0.5], [1], 1, bad, seed=0, on_cell=lambda *args: trials.append(args))
+    assert trials == []

@@ -259,6 +259,19 @@ def test_grid_rejects_bad_lists(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, expected", [
+    (["--rho", "1.0"], "rho must exceed 1"),
+    (["--mu-max", "inf"], "mu_max < inf"),
+])
+def test_grid_rejects_bad_solver_config(tmp_path, capsys, flags, expected):
+    out_csv = tmp_path / "g.csv"
+    code, out, err = run_cli(["grid", "--n", "4", "--p-list", "0.5", "--r-list", "1",
+                              "--trials", "1", "--out", str(out_csv)] + flags, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("tqrank grid: error:") and expected in err
+    assert not out_csv.exists()
+
+
 def test_psnr_command(tmp_path, capsys):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     write_tensor(a, np.ones((2, 2, 2)))

@@ -1,15 +1,17 @@
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tqrank.solver
 import tqrank.threads
-from oracles import matrix_complete_admm, prox_unfolded_unscreened
+from oracles import admm_complete_explicit_e, matrix_complete_admm, prox_unfolded_unscreened
 from tqrank.bench import bernoulli_mask, psnr, synth_low_qrank
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
 from tqrank.solver import (
@@ -39,6 +41,12 @@ def test_config_validation():
         SolverConfig(mu0=0.0).validate()
     with pytest.raises(ValueError):
         SolverConfig(mu0=2.0, mu_max=1.0).validate()
+    # past rho**k = mu_max / mu0 the schedule would overflow instead of capping
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu_max < inf"):
+            SolverConfig(mu0=bad, mu_max=bad).validate()
+        with pytest.raises(ValueError, match="mu_max < inf"):
+            SolverConfig(mu_max=bad).validate()
     with pytest.raises(ValueError):
         SolverConfig(eps=0.0).validate()
     with pytest.raises(ValueError):
@@ -147,6 +155,62 @@ def assert_same_solve(got, want):
     assert np.array_equal(report.q_final, want_report.q_final)
     for name in SOLVE_FIELDS:
         assert getattr(report, name) == getattr(want_report, name), name
+
+
+def instance(shape, r0, p, seed):
+    y_true, _ = synth_low_qrank(*shape, r0, seed)
+    mask = bernoulli_mask(*shape, p, seed + 1000)
+    return mask, project_omega(y_true, mask)
+
+
+def signed_zeros_off_mask():
+    mask, y = instance((12, 12, 12), 2, 0.05, 9)
+    y[~mask.values] = -0.0
+    return mask, y
+
+
+def full_mask():
+    y_true, _ = synth_low_qrank(8, 8, 8, 2, 1)
+    return ObservationMask.full((8, 8, 8)), y_true
+
+
+EXPLICIT_E_CASES = {
+    "adaptive-n20": (lambda: instance((20, 20, 20), 3, 0.5, 21), SolverConfig()),
+    "dct-n20": (lambda: instance((20, 20, 20), 3, 0.5, 21), SolverConfig(q=dct_matrix(20))),
+    "r5-12x10x14": (lambda: instance((12, 10, 14), 3, 0.6, 4), SolverConfig(r=5)),
+    "K3": (lambda: instance((10, 10, 10), 2, 0.5, 4), SolverConfig(K=3)),
+    "5x13x9": (lambda: instance((5, 13, 9), 2, 0.5, 6), SolverConfig()),
+    "n3=1": (lambda: instance((6, 7, 1), 1, 0.5, 8), SolverConfig()),
+    "full-mask": (full_mask, SolverConfig()),
+    "p0.05-signed-zeros": (signed_zeros_off_mask, SolverConfig()),
+}
+
+
+@pytest.mark.parametrize("case", list(EXPLICIT_E_CASES))
+def test_solve_matches_the_explicit_e_loop(case):
+    make, cfg = EXPLICIT_E_CASES[case]
+    mask, y = make()
+    got = admm_complete(y, mask, cfg)
+    want = admm_complete_explicit_e(y, mask, cfg)
+    assert_same_solve(got, want)
+    # array_equal takes -0.0 for 0.0; the bytes do not
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_solve_peak_memory_in_unfoldings(monkeypatch):
+    # serial, so that only this thread's arrays count
+    monkeypatch.setattr(tqrank.threads, "blas_control", lambda: None)
+    _, _, mask, y = masked_instance(60, 6, 0.5, 5)
+    cfg = SolverConfig(q=dct_matrix(60), max_iters=4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        admm_complete(y, mask, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the loop with E as an array peaked at 12.2 unfoldings, this one at 9.2
+    assert peak / y.nbytes < 10.5
 
 
 def n20_config(q_mode):
