@@ -3,12 +3,15 @@
 Coded independently of the package under test (plain numpy, matrices
 only, no shared helpers), except ``admm_complete_explicit_e``, which
 keeps the solver's loop algebra for comparison and so calls the
-package's prox and transform refresh.
+package's prox and transform refresh, and
+``right_singular_basis_thin_svd``, which keeps the package's sign
+convention and zero-matrix transform so that results compare byte for
+byte.
 """
 
 import numpy as np
 
-from tqrank.orth import check_given_q, identity_q, right_singular_basis
+from tqrank.orth import check_given_q, fix_signs, identity_q, right_singular_basis
 from tqrank.qnorm import _prox_unfolded
 from tqrank.solver import SolverReport, _mu_at
 from tqrank.tensor3 import fold3, unfold3
@@ -38,6 +41,21 @@ def matrix_complete_admm(y, observed, rho=1.1, mu0=1e-4, mu_max=1e10, eps=1e-8,
         if done:
             break
     return x
+
+
+def right_singular_basis_thin_svd(m, r):
+    """``tqrank.orth.right_singular_basis`` from a thin SVD of m itself.
+
+    Forms the unused n_rows x n_cols left factor; the package takes V from
+    the R of a QR instead.
+    """
+    m = np.asarray(m, dtype=float)
+    if not 1 <= r <= min(m.shape):
+        raise ValueError(f"need 1 <= r <= {min(m.shape)}, got r={r}")
+    if not m.any():
+        return identity_q(m.shape[1], r)
+    _, _, vh = np.linalg.svd(m, full_matrices=False)
+    return fix_signs(vh[:r].T)
 
 
 def prox_unfolded_unscreened(t3, q, lam, n1, n2):

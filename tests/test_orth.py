@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import right_singular_basis_thin_svd
 from tqrank.orth import (
     ORTHONORMALITY_TOL,
     check_orthonormal,
@@ -12,6 +15,7 @@ from tqrank.orth import (
     orthonormality_defect,
     pca_q,
     random_orthonormal,
+    right_singular_basis,
 )
 from tqrank.tensor3 import (
     FormatError,
@@ -95,6 +99,64 @@ def test_pca_q_descending_order():
     q = pca_q(t, 6)
     norms = np.linalg.norm(unfold3(t) @ q, axis=0)
     assert np.all(np.diff(norms) <= 1e-12)
+
+
+def gesdd_qr_threshold(cols):
+    """LAPACK gesdd factors A = QR first, and takes V from R, from this many rows on."""
+    return 11 * cols // 6
+
+
+@st.composite
+def tall_matrices(draw):
+    """(m, r) with rows >= gesdd_qr_threshold(cols): rank-deficient or
+    integer-valued (tied singular values), with zero columns, in either
+    memory order, scaled by 2^-400, 1 or 2^400."""
+    cols = draw(st.integers(1, 40))
+    rows = draw(st.integers(gesdd_qr_threshold(cols), gesdd_qr_threshold(cols) + 30))
+    rank = draw(st.integers(0, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    else:
+        m = rng.integers(-2, 3, (rows, rank)) @ rng.integers(-2, 3, (rank, cols)) * 1.0
+    m[:, rng.random(cols) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    m = np.ldexp(m, draw(st.sampled_from([-400, 0, 400])))
+    if draw(st.booleans()):
+        m = np.asfortranarray(m)
+    return m, draw(st.integers(1, cols))
+
+
+@settings(deadline=None)
+@given(tall_matrices())
+def test_right_singular_basis_bytes_equal_the_thin_svd_when_tall(case):
+    m, r = case
+    got, want = right_singular_basis(m, r), right_singular_basis_thin_svd(m, r)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides  # matmuls with Q round by its layout
+
+
+@st.composite
+def short_matrices_with_distinct_spectrum(draw):
+    """(m, r) with rows < gesdd_qr_threshold(cols) and singular values
+    min(rows, cols), ..., 2, 1."""
+    cols = draw(st.integers(2, 30))
+    rows = draw(st.integers(1, gesdd_qr_threshold(cols) - 1))
+    k = min(rows, cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return (u * np.arange(k, 0, -1.0)) @ v.T, draw(st.integers(1, k))
+
+
+@settings(deadline=None)
+@given(short_matrices_with_distinct_spectrum())
+def test_right_singular_basis_matches_the_thin_svd_when_short(case):
+    m, r = case
+    got, want = right_singular_basis(m, r), right_singular_basis_thin_svd(m, r)
+    assert np.max(np.abs(got @ got.T - want @ want.T)) <= 1e-12
+    # the same signs: column-wise agreement
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert_valid_transform(got)
 
 
 def test_random_orthonormal():

@@ -11,7 +11,12 @@ import pytest
 
 import tqrank.solver
 import tqrank.threads
-from oracles import admm_complete_explicit_e, matrix_complete_admm, prox_unfolded_unscreened
+from oracles import (
+    admm_complete_explicit_e,
+    matrix_complete_admm,
+    prox_unfolded_unscreened,
+    right_singular_basis_thin_svd,
+)
 from tqrank.bench import bernoulli_mask, psnr, synth_low_qrank
 from tqrank.orth import dct_matrix, identity_q, pca_q, random_orthonormal
 from tqrank.solver import (
@@ -194,6 +199,27 @@ def test_solve_matches_the_explicit_e_loop(case):
     want = admm_complete_explicit_e(y, mask, cfg)
     assert_same_solve(got, want)
     # array_equal takes -0.0 for 0.0; the bytes do not
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("case", list(EXPLICIT_E_CASES))
+def test_e_step_never_exceeds_x_step(case):
+    # why the stopping rule does not test res_e: the E step is the X step off the mask
+    make, cfg = EXPLICIT_E_CASES[case]
+    mask, y = make()
+    _, report = admm_complete(y, mask, cfg)
+    assert report.iterations > 0
+    assert all(e <= x for e, x in zip(report.res_e, report.res_x, strict=True))
+
+
+@pytest.mark.parametrize("case", ["adaptive-n20", "r5-12x10x14", "K3", "5x13x9"])
+def test_refresh_from_r_gives_the_thin_svd_solve(monkeypatch, case):
+    make, cfg = EXPLICIT_E_CASES[case]
+    mask, y = make()
+    got = admm_complete(y, mask, cfg)
+    monkeypatch.setattr(tqrank.solver, "right_singular_basis", right_singular_basis_thin_svd)
+    want = admm_complete(y, mask, cfg)
+    assert_same_solve(got, want)
     assert got[0].tobytes() == want[0].tobytes()
 
 
