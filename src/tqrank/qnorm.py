@@ -103,20 +103,30 @@ def _live_slices(stack, lam):
     return live
 
 
+def _slice_svd(g):
+    # gesdd can fail to converge on a slice whose transpose it decomposes
+    try:
+        return np.linalg.svd(g, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, vh = np.linalg.svd(g.T, full_matrices=False)
+        return vh.T, s, u.T
+
+
 def _prox_unfolded(t3, q, lam, n1, n2, pool=None):
     """Prox of lam * q_nuclear_norm on the unfolded tensor t3.
 
     Shrinks each transformed slice's singular values by lam and passes the
     orthogonal complement t x_3 (I - Q Q^T) through untouched.  Returns the
-    unfolded result and the post-shrinkage nuclear norm (the q-nuclear norm
-    of the result under this q).  Only the slices ``_live_slices`` keeps get
-    an SVD; the rest are exact zeros, as the shrinkage would make them.
-    The screen runs once, in the calling thread.  With a
-    ``threads.SlicePool`` the live slices are split into chunks that run
-    only the SVD and the shrink on the pool's threads, in batches of at
-    most SVD_BATCH_BYTES per stack; each slice's result is the same as in
-    one batch of all slices.
+    unfolded result and its q-nuclear norm under this q.  Only the slices
+    ``_live_slices`` keeps get an SVD; the rest are exact zeros, as the
+    shrinkage would make them.  The screen runs once, in the calling thread;
+    a ``threads.SlicePool`` splits only the SVDs and shrinks of the live
+    slices across threads, in batches of at most SVD_BATCH_BYTES per stack,
+    and each slice's result is the same as in one batch of all slices.  The
+    products run on a C-ordered t3, so their bytes do not depend on how the
+    caller laid t3 out.
     """
+    t3 = np.ascontiguousarray(t3)
     g3 = t3 @ q
     stack = _slice_stack(g3, n1, n2)
     r = stack.shape[0]
@@ -131,7 +141,10 @@ def _prox_unfolded(t3, q, lam, n1, n2, pool=None):
         # chunks write disjoint rows of shrunk and s_all, so no lock is needed
         for start in range(0, len(chunk), batch):
             idx = chunk[start:start + batch]
-            u, s, vh = np.linalg.svd(stack[idx], full_matrices=False)
+            try:
+                u, s, vh = np.linalg.svd(stack[idx], full_matrices=False)
+            except np.linalg.LinAlgError:  # slice by slice, so no split changes a byte
+                u, s, vh = map(np.stack, zip(*map(_slice_svd, stack[idx])))
             s = np.maximum(s - lam, 0.0)
             u *= s[:, None, :]
             shrunk[idx] = np.matmul(u, vh)

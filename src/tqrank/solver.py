@@ -116,16 +116,15 @@ def admm_complete(y, mask, cfg):
     else:
         q = check_given_q(cfg.q, n3, cfg.r)
 
-    x3 = np.zeros_like(y3)
-    z3 = np.zeros_like(y3)  # zero off the mask throughout
+    x3 = np.zeros(y3.shape)  # C like the prox's x3, so T is C from the first iteration
+    z3 = np.zeros(y3.shape)  # zero off the mask throughout
     proj = q @ q.T
 
     report = SolverReport()
     with solve_scope() as pool:
         for k in range(1, cfg.max_iters + 1):
             mu = _mu_at(cfg, k - 1)
-            t3 = y3 + z3 / mu  # F order like y3 in the first iteration, then C like z3
-            t3 += x3 * ~m3  # in place, keeping that order, which t3 @ q rounds by
+            t3 = y3 + z3 / mu + x3 * ~m3  # Y + Z/mu on the mask, X off it; faster than np.where
             if adaptive and (k - 1) % cfg.K == 0:
                 q_new = right_singular_basis(t3, r)
                 proj_new = q_new @ q_new.T
@@ -133,7 +132,7 @@ def admm_complete(y, mask, cfg):
                 q, proj = q_new, proj_new
             x3_new, objective = _prox_unfolded(t3, q, 1.0 / mu, n1, n2, pool=pool)
             gap = (y3 - x3_new) * m3
-            z3 = z3 + mu * gap  # not in place: z3 takes gap's C order
+            z3 += mu * gap
             report.res_feas.append(float(np.max(np.abs(gap))))
             report.res_feas_fro.append(float(np.linalg.norm(gap)))
             step = x3_new - x3

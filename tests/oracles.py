@@ -63,7 +63,10 @@ def prox_unfolded_unscreened(t3, q, lam, n1, n2):
 
     Same arguments and results as ``tqrank.qnorm._prox_unfolded``: t3 is the
     (n1*n2, n3) mode-3 unfolding, q an (n3, r) column-orthonormal transform.
+    Like the package's prox, it multiplies a C-ordered copy of t3, since
+    ``t3 @ q`` rounds differently for other layouts.
     """
+    t3 = np.ascontiguousarray(t3)
     g3 = t3 @ q
     stack = np.moveaxis(np.reshape(g3, (n1, n2, -1), order="F"), 2, 0)
     u, s, vh = np.linalg.svd(stack, full_matrices=False)

@@ -175,11 +175,24 @@ def screen_lam(where, sigma):
             "above": np.nextafter(sigma, np.inf), "all": 1e3}[where]
 
 
+LAYOUTS = ("C", "F", "strided")
+
+
+def laid_out(a, layout):
+    """The values of the 2-d array a, C-ordered, F-ordered or not contiguous at all."""
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a.copy(order=layout)
+
+
 @pytest.mark.parametrize("n1,n2", [(5, 5), (4, 7), (7, 3)])
-@pytest.mark.parametrize("r", [4, 6], ids=["thin", "square"])
+# n3 of 16 and 20: there a C- and an F-ordered t3 give t3 @ q different bytes
+@pytest.mark.parametrize("r,n3", [(4, 16), (20, 20)], ids=["thin", "square"])
 @pytest.mark.parametrize("where", ["none", "part", "below", "at", "above", "all"])
-def test_screened_prox_bit_identical_to_unscreened(n1, n2, r, where):
-    t3, q, sigma = screen_case(n1, n2, 6, r, seed=n1 * 10 + n2)
+def test_screened_prox_bit_identical_to_unscreened(n1, n2, r, n3, where):
+    t3, q, sigma = screen_case(n1, n2, n3, r, seed=n1 * 10 + n2)
     lam = screen_lam(where, sigma)
     stack = _slice_stack(t3 @ q, n1, n2)
     live = _live_slices(stack, lam)
@@ -194,10 +207,12 @@ def test_screened_prox_bit_identical_to_unscreened(n1, n2, r, where):
         assert not live[1::4].any() and fro[1] > lam
         assert live[2::4].all()
         assert live[3]
-    x3, objective = _prox_unfolded(t3, q, lam, n1, n2)
     want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, n1, n2)
-    assert np.array_equal(x3, want_x3)
-    assert objective == want_objective
+    # the prox fixes the layout it multiplies, so no caller's layout moves a byte
+    for layout in LAYOUTS:
+        x3, objective = _prox_unfolded(laid_out(t3, layout), q, lam, n1, n2)
+        assert np.array_equal(x3, want_x3), layout
+        assert objective == want_objective, layout
 
 
 def test_screen_keeps_every_slice_at_a_lam_whose_square_underflows():
@@ -285,6 +300,56 @@ def test_prox_screens_once_and_pools_only_the_live_slices(monkeypatch, where):
             screened.clear()
             _prox_unfolded(t3, q, lam, n1, n2)
             assert len(screened) == 1
+    finally:
+        pool.close()
+
+
+class FlakySvd:
+    """np.linalg.svd that fails, as gesdd can, on any stack holding a marked slice."""
+
+    def __init__(self, marked):
+        self.marked = marked
+        self.failures = 0
+        self.svd = np.linalg.svd
+
+    def __call__(self, a, *args, **kwargs):
+        slices = np.reshape(a, (-1, *a.shape[-2:]))
+        if any(np.array_equal(g, m) for g in slices for m in self.marked):
+            self.failures += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return self.svd(a, *args, **kwargs)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_prox_takes_a_slice_gesdd_fails_on_from_its_transpose(monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(tqrank.qnorm, "SVD_BATCH_BYTES", batch * 8 * 20 * 12)
+    y, _ = synth_low_qrank(20, 12, 16, 4, seed=7)
+    t3 = np.reshape(y, (240, 16), order="F") + 0.01
+    q = dct_matrix(16)
+    stack = _slice_stack(np.ascontiguousarray(t3) @ q, 20, 12)
+    lam = np.sort(np.linalg.svd(stack, compute_uv=False)[:, 0])[3]
+    live = np.flatnonzero(_live_slices(stack, lam))
+    bad = stack[live[len(live) // 2]]
+    want_x3, want_objective = prox_unfolded_unscreened(t3, q, lam, 20, 12)
+
+    flaky = FlakySvd([bad])
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    x3, objective = _prox_unfolded(t3, q, lam, 20, 12)
+    assert flaky.failures == 2  # its batch, then the slice alone
+    np.testing.assert_allclose(x3, want_x3, rtol=0, atol=1e-12)
+    assert objective == pytest.approx(want_objective, rel=1e-12)
+    pool = SlicePool(2)
+    try:
+        # batches of more than one slice put the marked slice with other slices here
+        pooled_x3, pooled_objective = _prox_unfolded(t3, q, lam, 20, 12, pool=pool)
+        assert pooled_x3.tobytes() == x3.tobytes() and pooled_objective == objective
+
+        monkeypatch.setattr(np.linalg, "svd", FlakySvd([bad, bad.T]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _prox_unfolded(t3, q, lam, 20, 12)
+        with pytest.raises(np.linalg.LinAlgError):
+            _prox_unfolded(t3, q, lam, 20, 12, pool=pool)
     finally:
         pool.close()
 

@@ -255,6 +255,23 @@ def test_screened_prox_solve_bit_identical_to_unscreened(monkeypatch, q_mode):
     assert_same_solve(got, admm_complete(y, mask, cfg))
 
 
+@pytest.mark.parametrize("q_mode", ["adaptive", "dct"])
+def test_solver_hands_the_prox_a_c_ordered_t3(monkeypatch, q_mode):
+    # the prox multiplies a C-ordered t3; handed one, it copies nothing
+    _, _, mask, y = masked_instance(20, 3, 0.5, 21)
+    prox = tqrank.solver._prox_unfolded
+    c_ordered = []
+
+    def spy(t3, *args, **kwargs):
+        c_ordered.append(t3.flags.c_contiguous)
+        return prox(t3, *args, **kwargs)
+
+    monkeypatch.setattr(tqrank.solver, "_prox_unfolded", spy)
+    _, report = admm_complete(y, mask, n20_config(q_mode))
+    assert len(c_ordered) == report.iterations > 0
+    assert all(c_ordered)
+
+
 def test_adaptive_beats_random_fixed():
     adaptive, fixed_random = [], []
     for seed in range(10):
